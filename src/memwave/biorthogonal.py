@@ -17,6 +17,7 @@ coefficient sums reduce to polygamma values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
@@ -39,6 +40,7 @@ __all__ = [
     "family_exponents",
     "window_gram",
     "dual_family_gram",
+    "gauss_legendre",
     "verify_biorthogonality",
     "summation_inequality_check",
     "write_atoms_csv",
@@ -460,13 +462,22 @@ def dual_family_gram(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per n as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def verify_biorthogonality(family: DualFamily, n_quad: int = 800) -> float:
     """Max |<theta(m,k), e^{-conj(lambda) t}> - delta| by Gauss-Legendre quadrature.
 
     Quadrature is the independent route: it never touches the Gram solve.
     """
     T = family.params.T
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = gauss_legendre(n_quad)
     t = 0.5 * T * nodes
     w = 0.5 * T * weights
     E = np.exp(-np.outer(t, family.exponents))           # exp samples  (q, a)

@@ -25,8 +25,9 @@ from typing import IO
 
 import numpy as np
 
-from .biorthogonal import dual_family_gram, family_exponents, family_index
+from .biorthogonal import dual_family_gram, family_exponents, family_index, gauss_legendre
 from .model import (
+    TWO_PI,
     FourierField,
     InvalidParameterError,
     ModelParams,
@@ -35,7 +36,7 @@ from .model import (
     shift_arcs,
     sobolev_norm,
 )
-from .spectrum import solve_cubic_spectrum
+from .spectrum import mu1_array
 
 __all__ = [
     "MomentData",
@@ -54,7 +55,8 @@ __all__ = [
     "write_control_grid_csv",
 ]
 
-TWO_PI = 2.0 * np.pi
+# time samples per block when exponential sums are evaluated on long grids
+_T_CHUNK = 4096
 
 
 class UnscalableRowError(ValueError):
@@ -107,12 +109,15 @@ def moment_rhs(y0: FourierField, y1: FourierField, params: ModelParams, N: int) 
     """Assemble the moment right-hand sides for data truncated at N."""
     _require_truncated(y0, N, "y0")
     _require_truncated(y1, N, "y1")
+    pos = np.arange(1, N + 1)
+    mu1 = mu1_array(pos, params.M)
+    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
+    roots = np.stack([mu1 + 0j, -mu1 / 2.0 + 1j * beta, -mu1 / 2.0 - 1j * beta], axis=1)
     rhs: dict[tuple[int, int], complex] = {}
     for absn in range(1, N + 1):
-        tri = solve_cubic_spectrum(absn, params.M)
         for n in (absn, -absn):
             for j in (1, 2, 3):
-                mu = tri.roots[j - 1]
+                mu = roots[absn - 1, j - 1]
                 rhs[(n, j)] = -TWO_PI * (np.conj(mu) * y0.coeff(n) + y1.coeff(n))
     zero_rows = tuple((n, j) for (n, j) in family_index(N))
     return MomentData(
@@ -175,6 +180,19 @@ class ControlField:
             return complex(TWO_PI) if p == 0 else 0.0j
         return arc_exponential_integral(self.support0, p)
 
+    def arc_integrals(self, p: np.ndarray) -> np.ndarray:
+        """`arc_integral` over an integer array, one closed form per distinct value."""
+        values, which = np.unique(p, return_inverse=True)
+        arcs = np.array([self.arc_integral(int(q)) for q in values], dtype=complex)
+        return arcs[which].reshape(p.shape)
+
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(modes, rates, weights) of the atoms; a constant atom has mode 0."""
+        modes = np.array([a.mode if a.mode is not None else 0 for a in self.atoms], dtype=int)
+        rates = np.array([a.rate for a in self.atoms], dtype=complex)
+        weights = np.array([a.weight for a in self.atoms], dtype=complex)
+        return modes, rates, weights
+
     # -- evaluation -------------------------------------------------------------
 
     def _moving_values(self, t: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -200,22 +218,45 @@ class ControlField:
             vals = np.where(inside, vals, 0.0)
         return vals
 
-    def mode_projection(self, n: int, t: np.ndarray) -> np.ndarray:
-        """Closed-form Fourier coefficient of the indicator-masked control.
+    def projection_matrix(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mode projections of the masked control as sums over its distinct rates.
 
-        For the physical frame this is the mode-n coefficient of
-        1_{omega(t)} u(t, .): e^{inct}/(2 pi) * sum_k w_k I(m_k - n) e^{-rate_k t}.
+        Returns (rates, A): the mode-`modes[i]` Fourier coefficient of
+        1_{omega0} u(t, .) in the moving frame is sum_r A[i, r] e^{-rates[r] t},
+        where A[i, r] sums w_k I(m_k - n_i) / (2 pi) over the atoms k of rate
+        rates[r].  The physical frame multiplies row i by e^{i n_i c t}.
         """
+        modes = np.asarray(modes, dtype=int)
+        atom_modes, atom_rates, weights = self.atom_arrays()
+        P = self.arc_integrals(atom_modes[None, :] - modes[:, None]) * (weights / TWO_PI)
+        rates, which = np.unique(atom_rates, return_inverse=True)
+        A = np.zeros((len(modes), len(rates)), dtype=complex)
+        np.add.at(A, (slice(None), which), P)
+        return rates, A
+
+    def mode_samples(self, modes: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Closed-form Fourier coefficients of the indicator-masked control.
+
+        Row i holds, at the times `t` (1-D), the mode-`modes[i]` coefficient of
+        1_{omega(t)} u(t, .); for the physical frame that is
+        e^{inct}/(2 pi) * sum_k w_k I(m_k - n) e^{-rate_k t}.
+        """
+        modes = np.asarray(modes, dtype=int)
         t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape, dtype=complex)
-        for atom in self.atoms:
-            m = atom.mode if atom.mode is not None else 0
-            arc = self.arc_integral(m - n)
-            if arc != 0.0:
-                acc += atom.weight * arc * np.exp(-atom.rate * t)
-        if self.frame == "physical":
-            acc = acc * np.exp(1j * n * self.velocity * t)
-        return acc / TWO_PI
+        rates, A = self.projection_matrix(modes)
+        out = np.empty((len(modes), len(t)), dtype=complex)
+        for lo in range(0, len(t), _T_CHUNK):
+            block = t[lo:lo + _T_CHUNK]
+            values = A @ np.exp(-np.outer(rates, block))
+            if self.frame == "physical":
+                values *= np.exp(1j * np.outer(modes * self.velocity, block))
+            out[:, lo:lo + len(block)] = values
+        return out
+
+    def mode_projection(self, n: int, t: np.ndarray) -> np.ndarray:
+        """`mode_samples` for the single mode n, at times of any shape."""
+        t = np.asarray(t, dtype=float)
+        return self.mode_samples(np.array([n]), t.ravel())[0].reshape(t.shape)
 
     # -- norms ----------------------------------------------------------------
 
@@ -223,9 +264,7 @@ class ControlField:
         """L^2 norm over (0, T) x support (frame independent by construction)."""
         if not self.atoms:
             return 0.0
-        modes = np.array([a.mode if a.mode is not None else 0 for a in self.atoms])
-        rates = np.array([a.rate for a in self.atoms], dtype=complex)
-        w = np.array([a.weight for a in self.atoms], dtype=complex)
+        modes, rates, w = self.atom_arrays()
         S = _representer_gram(modes, rates, self, self.T)
         return float(np.sqrt(max(np.real(w @ S @ np.conj(w)), 0.0)))
 
@@ -297,10 +336,7 @@ def _halfline_time_integral(s: np.ndarray, T: float) -> np.ndarray:
 
 def _representer_gram(modes: np.ndarray, rates: np.ndarray, field_like, T: float) -> np.ndarray:
     """Gram <g_k, g_l> of atoms e^{im x} e^{-rate t} on (0,T) x support."""
-    dm = modes[:, None] - modes[None, :]
-    arc = np.zeros(dm.shape, dtype=complex)
-    for p in np.unique(dm):
-        arc[dm == p] = field_like.arc_integral(int(p))
+    arc = field_like.arc_integrals(modes[:, None] - modes[None, :])
     s = rates[:, None] + np.conj(rates)[None, :]
     return arc * _halfline_time_integral(s, T)
 
@@ -474,30 +510,27 @@ def verify_moment_constraints(
     N = md.N
     index = family_index(N)
     lam = family_exponents(params, N, apply_resonance_convention=True)
-    tn, tw = np.polynomial.legendre.leggauss(n_quad)
+    tn, tw = gauss_legendre(n_quad)
     t = 0.5 * params.T * (tn + 1.0)
     wt = 0.5 * params.T * tw
     arcs = u.support0 if u.support0 is not None else ((-np.pi, np.pi),)
-    xs, wx = [], []
-    for a, b in arcs:
-        xn, xw = np.polynomial.legendre.leggauss(64)
-        xs.append(0.5 * (b - a) * xn + 0.5 * (a + b))
-        wx.append(0.5 * (b - a) * xw)
-    x = np.concatenate(xs)
-    wxv = np.concatenate(wx)
-    vals = u._moving_values(t[:, None], x[None, :])  # (q_t, q_x)
-    residuals = []
-    for i, (n, j) in enumerate(index):
-        xker = np.exp(-1j * n * x) * wxv
-        tker = np.exp(-np.conj(lam[i]) * t) * wt
-        integral = tker @ vals @ xker
-        residuals.append(integral - md.rhs[(n, j)])
-    for i, (n, j) in enumerate(index):
-        tker = np.exp(-np.conj(lam[i]) * t) * wt
-        integral = tker @ vals @ wxv
-        residuals.append(integral)
-    res = np.abs(np.array(residuals))
-    return float(res.max()), float(np.sqrt(np.mean(res**2))), np.array(residuals)
+    xn, xw = gauss_legendre(64)
+    x = np.concatenate([0.5 * (b - a) * xn + 0.5 * (a + b) for a, b in arcs])
+    wxv = np.concatenate([0.5 * (b - a) * xw for a, b in arcs])
+    modes, rates, weights = u.atom_arrays()
+    # the atom sum on the (q_t, q_x) tensor grid as one product, with the
+    # time exponentials taken once per distinct rate
+    distinct, which = np.unique(rates, return_inverse=True)
+    decay = np.exp(-np.outer(t, distinct))[:, which]
+    vals = (decay * weights) @ np.exp(1j * np.outer(modes, x))
+    tker = np.exp(-np.outer(np.conj(lam), t)) * wt                 # (rows, q_t)
+    xker = np.exp(-1j * np.outer([n for n, _ in index], x)) * wxv   # (rows, q_x)
+    time_integrals = tker @ vals                                    # (rows, q_x)
+    target = np.array([md.rhs[key] for key in index], dtype=complex)
+    residuals = np.concatenate([np.sum(time_integrals * xker, axis=1) - target,
+                                time_integrals @ wxv])
+    res = np.abs(residuals)
+    return float(res.max()), float(np.sqrt(np.mean(res**2))), residuals
 
 
 def duality_inequality_probe(

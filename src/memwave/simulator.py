@@ -6,9 +6,13 @@ The forward system per Fourier mode n is the 3-dimensional ODE
 
 whose homogeneous flow is diagonalized exactly by the characteristic-cubic
 roots (the mode ODE shares its characteristic polynomial with the spectrum).
-The integrator advances the exact flow and quadratures only the forcing
-(Simpson per step), so all discretization error sits in the source term.
-A classical RK4 path is kept for cross-validation.
+Every control is a finite sum of exponential atoms, so each forcing f_n is an
+exponential sum and the Duhamel integral has a closed form in the per-mode
+eigencoordinates.  The production route (`method="exact"`) evaluates it at
+the stored times directly: no time stepping, no forcing samples, and no
+discretization error.  Two stepping integrators stay as independent checks:
+the exponential integrator advances the exact flow and quadratures only the
+forcing (Simpson per step), and a classical RK4 path steps the full system.
 
 The adjoint systems are evolved with no time-stepping error at all: the
 moving-frame adjoint is a closed-form eigenvector expansion, and the fixed
@@ -33,7 +37,7 @@ from .model import (
     StateTriple,
     sobolev_norm,
 )
-from .moment_control import ControlField, FrameError
+from .moment_control import ControlField, FrameError, _halfline_time_integral
 from .spectrum import mu1_array, shifted_spectrum_arrays, spectrum_modes
 
 __all__ = [
@@ -93,10 +97,6 @@ class Trajectory:
     def terminal(self) -> StateTriple:
         return self.state_at(len(self.times) - 1)
 
-    @property
-    def snapshots(self) -> list[StateTriple]:
-        return [self.state_at(k) for k in range(len(self.times))]
-
 
 # ---------------------------------------------------------------------------
 # forward integrator
@@ -125,18 +125,11 @@ def _forcing_samples(
     path: str,
 ) -> np.ndarray:
     """Mode projections of the indicator-masked control on the sample grid."""
-    F = np.zeros((len(modes), len(tgrid)), dtype=complex)
     if u is None:
-        return F
-    if u.frame != "physical":
-        raise FrameError("simulate_forward drives the fixed frame; pass a "
-                         "physical-frame control (see to_physical_frame)")
+        return np.zeros((len(modes), len(tgrid)), dtype=complex)
     if path == "closed_form":
-        for i, n in enumerate(modes):
-            F[i] = u.mode_projection(int(n), tgrid)
-        return F
-    if path != "grid":
-        raise InvalidParameterError(f"unknown forcing path {path!r}")
+        return u.mode_samples(modes, tgrid)
+    F = np.zeros((len(modes), len(tgrid)), dtype=complex)
     K = params.grid_size
     x = 2.0 * np.pi * np.arange(K) / K
     for k, t in enumerate(tgrid):
@@ -146,6 +139,48 @@ def _forcing_samples(
     return F
 
 
+def _exact_states(
+    params: ModelParams,
+    modes: np.ndarray,
+    state0: np.ndarray,
+    u: ControlField | None,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Closed-form Duhamel solution at `times` in the per-mode eigencoordinates.
+
+    The forcing of mode n is f_n(t) = e^{icnt} sum_r A[n, r] e^{-rate_r t}
+    (`ControlField.projection_matrix`), so each eigencoordinate of
+    w' = mu w + g f_n solves to
+
+        w(t) = e^{mu t} w0 + g sum_r A[n, r] (e^{mu t} - e^{-s_r t}) / (mu + s_r),
+
+    with s_r = rate_r - icn.  The sum over rates is contracted as two matrix
+    products, so memory stays O(modes * rates + rates * times).  Where
+    |mu + s_r| T falls below 1e-8 the removable singularity is evaluated as
+    e^{mu t} int_0^t e^{-(mu + s_r) tau} dtau instead.
+    """
+    mu, V, Vinv = _mode_eigensystem(params, modes)
+    w0 = np.einsum("mij,mj->mi", Vinv, state0)
+    growth = np.exp(mu[:, :, None] * times)                         # (m, 3, k)
+    w = w0[:, :, None] * growth
+    if u is not None and u.atoms:
+        rates, A = u.projection_matrix(modes)                       # (m, r)
+        icn = 1j * u.velocity * modes
+        sigma = mu[:, :, None] + (rates[None, None, :] - icn[:, None, None])
+        singular = np.abs(sigma) * times[-1] < 1e-8
+        K = A[:, None, :] / np.where(singular, 1.0, sigma)          # (m, 3, r)
+        K[singular] = 0.0
+        decay = np.exp(-np.outer(rates, times))                     # (r, k)
+        phase = np.exp(1j * np.outer(modes * u.velocity, times))    # (m, k)
+        duhamel = (growth * K.sum(axis=2)[:, :, None]
+                   - phase[:, None, :] * (K @ decay))
+        for i, j, r in zip(*np.nonzero(singular)):
+            duhamel[i, j] += A[i, r] * growth[i, j] * _halfline_time_integral(
+                sigma[i, j, r], times)
+        w += Vinv[:, :, 1][:, :, None] * duhamel  # the source enters y_t
+    return np.einsum("mij,mjk->mik", V, w)
+
+
 def simulate_forward(
     params: ModelParams,
     y0: FourierField,
@@ -153,22 +188,39 @@ def simulate_forward(
     u: ControlField | None,
     n_steps: int,
     store_stride: int | None = None,
-    method: str = "exponential",
+    method: str = "exact",
     forcing_path: str = "closed_form",
 ) -> Trajectory:
     """Evolve (y, y_t, z) from (y0, y1, 0) under the physical-frame control.
 
-    The homogeneous flow per mode is the exact 3x3 exponential built from the
-    characteristic-cubic eigensystem; the source enters through per-step
-    Simpson quadrature in the eigencoordinates.  `method="rk4"` switches to a
-    classical fourth-order step on the same forcing samples.
+    States are stored at the times k T / n_steps for every `store_stride`-th
+    k, and at T.  The default `method="exact"` is the production route: the
+    closed-form Duhamel integral of the exponential-atom control in the
+    per-mode eigencoordinates, evaluated at the stored times only (no
+    stepping, no forcing samples).  The two stepping methods are checks:
+    `"exponential"` advances the exact 3x3 homogeneous flow and enters the
+    source through per-step Simpson quadrature in the eigencoordinates, and
+    `"rk4"` takes classical fourth-order steps on the same forcing samples.
+    `forcing_path="grid"` samples the forcing by FFT of the pointwise control
+    instead of the closed-form projections; it feeds a stepping method only.
     """
     N = params.N
     if y0.N != N or y1.N != N:
         raise InvalidParameterError("data truncation must match params.N")
     if n_steps < 1:
         raise InvalidParameterError("n_steps must be positive")
-    if n_steps < 10.0 * params.T * N:
+    if method not in ("exact", "exponential", "rk4"):
+        raise InvalidParameterError(f"unknown method {method!r}")
+    if forcing_path not in ("closed_form", "grid"):
+        raise InvalidParameterError(f"unknown forcing path {forcing_path!r}")
+    if method == "exact" and forcing_path == "grid":
+        raise InvalidParameterError(
+            "the exact route takes no forcing samples; forcing_path='grid' "
+            "needs a stepping method ('exponential' or 'rk4')")
+    if u is not None and u.frame != "physical":
+        raise FrameError("simulate_forward drives the fixed frame; pass a "
+                         "physical-frame control (see to_physical_frame)")
+    if method != "exact" and n_steps < 10.0 * params.T * N:
         warnings.warn(
             f"n_steps = {n_steps} is below the resolution rule 10*T*N = "
             f"{10.0 * params.T * N:.0f}; source quadrature may dominate",
@@ -176,8 +228,6 @@ def simulate_forward(
     stride = store_stride if store_stride is not None else max(1, math.ceil(n_steps / 200))
     modes = spectrum_modes(N)
     h = params.T / n_steps
-    tgrid = 0.5 * h * np.arange(2 * n_steps + 1)
-    F = _forcing_samples(u, params, modes, tgrid, forcing_path)
 
     idx = modes + N
     state0 = np.stack(
@@ -187,8 +237,15 @@ def simulate_forward(
     if stored_ks[-1] != n_steps:
         stored_ks.append(n_steps)
     times = np.array([k * h for k in stored_ks])
-    states = np.empty((len(modes), 3, len(stored_ks)), dtype=complex)
 
+    if method == "exact":
+        states = _exact_states(params, modes, state0, u, times)
+        states[:, :, 0] = state0
+        return Trajectory(params=params, modes=modes, times=times, states=states)
+
+    tgrid = 0.5 * h * np.arange(2 * n_steps + 1)
+    F = _forcing_samples(u, params, modes, tgrid, forcing_path)
+    states = np.empty((len(modes), 3, len(stored_ks)), dtype=complex)
     if method == "exponential":
         mu, V, Vinv = _mode_eigensystem(params, modes)
         E_full = np.exp(mu * h)
@@ -208,7 +265,7 @@ def simulate_forward(
             if pos < len(stored_ks) and stored_ks[pos] == k + 1:
                 states[:, :, pos] = np.einsum("mij,mj->mi", V, w)
                 pos += 1
-    elif method == "rk4":
+    else:
         n2 = (np.abs(modes).astype(float) ** 2)[:, None]
         M = params.M
 
@@ -234,8 +291,6 @@ def simulate_forward(
             if pos < len(stored_ks) and stored_ks[pos] == k + 1:
                 states[:, :, pos] = s
                 pos += 1
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
 
     return Trajectory(params=params, modes=modes, times=times, states=states)
 

@@ -14,6 +14,7 @@ from memwave.biorthogonal import (
     dual_family_gram,
     family_exponents,
     family_index,
+    gauss_legendre,
     summation_inequality_check,
     verify_biorthogonality,
     window_gram,
@@ -231,6 +232,16 @@ class TestDualFamily:
         buf = io.StringIO()
         write_atoms_csv(buf, fam)
         assert buf.getvalue().splitlines()[0] == "m,k,norm,condition_number"
+
+
+def test_gauss_legendre_cache_is_shared_and_read_only():
+    nodes, weights = gauss_legendre(64)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    again = gauss_legendre(64)
+    assert again[0] is nodes and again[1] is weights
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 class TestSummationInequality:

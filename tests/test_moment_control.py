@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memwave.model import FourierField, InvalidParameterError, ModelParams, point_in_arcs
+from memwave.model import (
+    FourierField,
+    InvalidParameterError,
+    ModelParams,
+    arc_exponential_integral,
+    point_in_arcs,
+)
 from memwave.moment_control import (
     ControlAtom,
     ControlField,
@@ -210,6 +216,38 @@ class TestFrameChange:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,x,re_u,im_u"
         assert len(lines) == 1 + 3 * 4
+
+
+class TestModeProjection:
+    @staticmethod
+    def per_atom_sum(u: ControlField, n: int, t: np.ndarray) -> np.ndarray:
+        acc = np.zeros(t.shape, dtype=complex)
+        for atom in u.atoms:
+            m = atom.mode if atom.mode is not None else 0
+            arc = arc_exponential_integral(u.support0, m - n) if u.support0 is not None \
+                else (2 * np.pi if m == n else 0.0)
+            acc += atom.weight * arc * np.exp(-atom.rate * t)
+        if u.frame == "physical":
+            acc = acc * np.exp(1j * n * u.velocity * t)
+        return acc / (2 * np.pi)
+
+    @pytest.mark.parametrize("frame", ["moving", "physical"])
+    @pytest.mark.parametrize("support", [((-2.0, -1.2), (0.3, 1.9)), None])
+    def test_matrix_form_matches_per_atom_sum(self, rng, frame, support):
+        # shared rates, constant atoms and growing atoms, as synthesis produces
+        rates = [0.4 + 3j, -0.6 + 1j, 0.1 - 2j]
+        atoms = tuple(
+            ControlAtom(mode=[None, -3, 0, 2, 5][k % 5], rate=rates[k % 3],
+                        weight=complex(rng.standard_normal(), rng.standard_normal()))
+            for k in range(17))
+        u = ControlField(frame=frame, atoms=atoms, support0=support, velocity=-1.7, T=9.0)
+        t = np.linspace(0.0, 9.0, 5001)  # spans two evaluation blocks
+        modes = np.array([-6, -1, 0, 2, 4])
+        rows = u.mode_samples(modes, t)
+        for i, n in enumerate(modes):
+            ref = self.per_atom_sum(u, int(n), t)
+            for got in (u.mode_projection(int(n), t), rows[i]):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSeparatedSynthesis:

@@ -1,10 +1,19 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from memwave.model import FourierField, ModelParams, StateTriple, sobolev_norm
+from memwave.model import (
+    FourierField,
+    InvalidParameterError,
+    ModelParams,
+    StateTriple,
+    arc_exponential_integral,
+    minimal_control_time,
+    sobolev_norm,
+)
 from memwave.moment_control import (
     ControlAtom,
     ControlField,
@@ -25,7 +34,7 @@ from memwave.simulator import (
     write_trajectory_csv,
     z_consistency_residual,
 )
-from memwave.spectrum import eigenvector, shifted_eigenvalue, spectrum_modes
+from memwave.spectrum import eigenvector, mu1_array, shifted_eigenvalue, spectrum_modes
 
 from conftest import random_field
 
@@ -89,7 +98,12 @@ class TestForwardFree:
         assert np.abs(a.states - b.states).max() <= 1e-6 * np.abs(a.states).max()
 
     def test_resolution_rule_warning(self, p8):
+        # the rule bounds the per-step source quadrature of the stepping methods
         with pytest.warns(UserWarning, match="resolution"):
+            simulate_forward(p8, FourierField.zero(8), FourierField.zero(8), None, 16,
+                             method="exponential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             simulate_forward(p8, FourierField.zero(8), FourierField.zero(8), None, 16)
 
 
@@ -131,7 +145,7 @@ class TestForcedRuns:
         y0, y1 = random_field(rng, 8, 0.1), random_field(rng, 8, 0.1)
         a = simulate_forward(p8, y0, y1, u, 600, store_stride=600)
         b = simulate_forward(p8, y0, y1, u, 600, store_stride=600,
-                             forcing_path="grid")
+                             method="exponential", forcing_path="grid")
         dev = np.abs(a.states[:, :, -1] - b.states[:, :, -1]).max()
         assert dev <= 5e-3 * np.abs(a.states[:, :, -1]).max()
 
@@ -170,6 +184,97 @@ class TestForcedRuns:
 
         c1, c7 = realized_constant(1.0), realized_constant(7.0)
         assert c1 == pytest.approx(c7, rel=1e-10)
+
+
+def forced_mode_oracle(p: ModelParams, u: ControlField, n: int, state0: np.ndarray,
+                       t: float) -> np.ndarray:
+    """expm of the mode-n generator augmented by one decaying state per atom."""
+    R = len(u.atoms)
+    A = np.zeros((3 + R, 3 + R), dtype=complex)
+    A[:3, :3] = forward_generator(n, p.M)
+    for r, atom in enumerate(u.atoms):
+        m = atom.mode if atom.mode is not None else 0
+        arc = arc_exponential_integral(u.support0, m - n)
+        A[1, 3 + r] = atom.weight * arc / (2 * np.pi)
+        A[3 + r, 3 + r] = -(atom.rate - 1j * u.velocity * n)
+    return (expm(A * t) @ np.concatenate([state0, np.ones(R)]))[:3]
+
+
+class TestExactRoute:
+    def test_free_modes_match_oracle_to_roundoff(self, p8):
+        worst = 0.0
+        for n in list(range(-8, 0)) + list(range(1, 9)):
+            y0 = FourierField.from_coeffs({n: 1.0}, 8)
+            y1 = FourierField.from_coeffs({n: -0.5j}, 8)
+            traj = simulate_forward(p8, y0, y1, None, 10, store_stride=2)
+            i = list(traj.modes).index(n)
+            for k, t in enumerate(traj.times):
+                oracle = expm(forward_generator(n, p8.M) * t) @ np.array([1, -0.5j, 0])
+                worst = max(worst, np.abs(traj.states[i, :, k] - oracle).max()
+                            / max(np.abs(oracle).max(), 1.0))
+        assert worst <= 1e-12
+
+    def test_forced_modes_match_augmented_oracle(self, p8, rng):
+        u = ControlField(
+            frame="physical",
+            atoms=(ControlAtom(mode=1, rate=0.2 + 2j, weight=0.5),
+                   ControlAtom(mode=-3, rate=-0.1 + 1j, weight=0.25j),
+                   ControlAtom(mode=None, rate=0.2 + 2j, weight=-0.3)),
+            support0=p8.omega0, velocity=p8.c, T=p8.T)
+        y0, y1 = random_field(rng, 8, 0.1), random_field(rng, 8, 0.1)
+        traj = simulate_forward(p8, y0, y1, u, 8, store_stride=4)
+        for n in (-8, -3, 1, 2, 7):
+            i = list(traj.modes).index(n)
+            state0 = np.array([y0.coeff(n), y1.coeff(n), 0.0])
+            for k, t in enumerate(traj.times):
+                oracle = forced_mode_oracle(p8, u, n, state0, t)
+                assert np.abs(traj.states[i, :, k] - oracle).max() <= 1e-12 * max(
+                    np.abs(oracle).max(), 1.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-11, 1e-6])
+    def test_removable_singularity(self, p8, offset):
+        # at offset 0 the atom's rate makes mu(1, 1) + rate - ic vanish: the
+        # mode-1 forcing resonates with the growing branch and the response is
+        # t e^{mu t}; 1e-6 sits just above the switch to the series form
+        mu1 = mu1_array([1], p8.M)[0]
+        u = ControlField(
+            frame="physical",
+            atoms=(ControlAtom(mode=1, rate=complex(-mu1 + offset, p8.c), weight=1.0),),
+            support0=p8.omega0, velocity=p8.c, T=p8.T)
+        traj = simulate_forward(p8, FourierField.zero(8), FourierField.zero(8), u, 10,
+                                store_stride=5)
+        assert np.isfinite(traj.states).all()
+        for n in (1, -1, 2):
+            i = list(traj.modes).index(n)
+            for k, t in enumerate(traj.times):
+                oracle = forced_mode_oracle(p8, u, n, np.zeros(3), t)
+                assert np.abs(traj.states[i, :, k] - oracle).max() <= 1e-9 * max(
+                    np.abs(oracle).max(), 1.0)
+
+    def test_simpson_converges_to_exact_at_fourth_order(self):
+        p = ModelParams(M=0.991, c=-1.74, T=1.1 * minimal_control_time(-1.74),
+                        omega0=((-0.4, 1.0),), N=4)
+        y0 = FourierField.from_coeffs({1: 0.1, -1: 0.1, 2: 0.03j, -2: -0.03j}, 4)
+        y1 = FourierField.from_coeffs({1: -0.05, -1: -0.05}, 4)
+        u = to_physical_frame(mean_zero_correction(
+            synthesize_least_norm(p, moment_rhs(y0, y1, p, 4))))
+        exact = simulate_forward(p, y0, y1, u, 2048).states[:, :, -1]
+        size = sobolev_norm(y0, 1.0) + sobolev_norm(y1, 0.0)
+        errs = [np.abs(simulate_forward(p, y0, y1, u, nt, store_stride=nt,
+                                        method="exponential").states[:, :, -1]
+                       - exact).max() / size
+                for nt in (1024, 2048, 4096, 8192)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders > 3.9) & (orders < 4.1)), (errs, orders)
+        rep = terminal_report(simulate_forward(p, y0, y1, u, 2048), y0, y1)
+        assert rep["relative_total"] <= 1e-3 * errs[-1]
+
+    def test_grid_forcing_refused(self, p8):
+        u = ControlField(frame="physical", atoms=(), support0=p8.omega0,
+                         velocity=p8.c, T=p8.T)
+        with pytest.raises(InvalidParameterError, match="stepping method"):
+            simulate_forward(p8, FourierField.zero(8), FourierField.zero(8), u, 64,
+                             forcing_path="grid")
 
 
 class TestAdjointExact:
