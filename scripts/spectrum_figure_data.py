@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from memwave.model import ModelParams
-from memwave.spectrum import mu1_array, write_spectrum_csv
+from memwave.spectrum import branch_roots, write_spectrum_csv
 
 
 def main() -> None:
@@ -25,8 +25,8 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
 
     n = np.arange(1, args.n_max + 1)
-    mu1 = mu1_array(n, args.M)
-    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + n.astype(float) ** 2)
+    roots = branch_roots(n, args.M)
+    mu1, beta = roots[:, 0].real, roots[:, 1].imag
     path = os.path.join(args.out, "fixed_frame_branches.csv")
     with open(path, "w") as fh:
         fh.write("n,j,re_mu,im_mu\n")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .model import InvalidParameterError, ModelParams
-from .spectrum import detect_resonance, mu1_array, resonance_shift
+from .spectrum import detect_resonance, shifted_spectrum_arrays, spectrum_modes
 
 __all__ = [
     "NuSequence",
@@ -83,20 +83,7 @@ def family_exponents(
     A resonant collision is split by the replacement convention (default on),
     so the returned exponents are pairwise distinct for any admissible c.
     """
-    pos = np.arange(1, N + 1)
-    mu1 = mu1_array(pos, params.M)
-    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
-    mus = {1: mu1.astype(complex), 2: -mu1 / 2.0 + 1j * beta, 3: -mu1 / 2.0 - 1j * beta}
-    lam = {}
-    for j in (1, 2, 3):
-        lam[j] = np.concatenate([
-            1j * params.c * (-pos[::-1]) + mus[j][::-1],
-            1j * params.c * pos + mus[j],
-        ])
-    if apply_resonance_convention:
-        hit = detect_resonance(params, N)
-        if hit is not None:
-            lam[2][N - hit[0]] = resonance_shift(hit[0], params)
+    lam = shifted_spectrum_arrays(params, N, apply_resonance_convention)
     return np.concatenate([lam[1], lam[2], lam[3]])
 
 
@@ -129,26 +116,10 @@ class NuSequence:
     def from_params(cls, params: ModelParams, j: int, N: int) -> "NuSequence":
         if j not in (1, 2, 3):
             raise InvalidParameterError("branch must be 1, 2 or 3")
-        pos = np.arange(1, N + 1)
-        mu1 = mu1_array(pos, params.M)
-        beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
-        mu2 = -mu1 / 2.0 + 1j * beta
-        c = params.c
-        scale = _BRANCH_SCALES[j](c)
-        if j == 1:
-            vp = (1j * c * pos + mu1) / scale
-        elif j == 2:
-            vp = (1j * c * pos + mu2) / scale
-        else:
-            vp = (1j * c * pos + np.conj(mu2)) / scale
-        modes = np.concatenate([-pos[::-1], pos])
+        scale = _BRANCH_SCALES[j](params.c)
+        vp = shifted_spectrum_arrays(params, N)[j][N:] / scale
         values = np.concatenate([np.conj(vp)[::-1], vp])
-        return cls(j=j, scale=scale, modes=modes, values=values)
-
-    def deviation_from_line(self) -> np.ndarray:
-        """|nu(n) - i n| over positive modes (approaches |branch constant|)."""
-        pos = self.modes > 0
-        return np.abs(self.values[pos] - 1j * self.modes[pos])
+        return cls(j=j, scale=scale, modes=spectrum_modes(N), values=values)
 
 
 def branch_limit_constant(params: ModelParams, j: int) -> float:
@@ -183,30 +154,15 @@ class ProductEvaluator:
             raise InvalidParameterError("n_prod must be at least 100")
         self.params = params
         self.n_prod = int(n_prod)
-        pos = np.arange(1, n_prod + 1)
-        mu1 = mu1_array(pos, params.M)
-        beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
-        mu2 = -mu1 / 2.0 + 1j * beta
-        mu3 = np.conj(mu2)
-        c = params.c
-        # pair members: A carries the positive mode, B its partner at -n
-        self.lam_a = {
-            1: 1j * c * pos + mu1,
-            2: 1j * c * pos + mu2,
-            3: 1j * c * pos + mu3,
-        }
-        self.lam_b = {
-            1: -1j * c * pos + mu1,
-            2: -1j * c * pos + mu3,   # = conj(lam_a[2])
-            3: -1j * c * pos + mu2,   # = conj(lam_a[3])
-        }
-        self.resonance = detect_resonance(params, n_prod)
-        self.resonance_adjusted = False
-        if apply_resonance_convention and self.resonance is not None:
-            n_c = self.resonance[0]
-            self.lam_b[3] = self.lam_b[3].copy()
-            self.lam_b[3][n_c - 1] = resonance_shift(n_c, params)
-            self.resonance_adjusted = True
+        N = self.n_prod
+        lam = shifted_spectrum_arrays(params, N, apply_resonance_convention)
+        # pair members: A carries the positive mode n, B its partner at -n,
+        # with lam_b[2] = conj(lam_a[2]) and lam_b[3] = conj(lam_a[3]) unless
+        # the resonance convention moved lambda(-n_c, 2)
+        self.lam_a = {p: lam[p][N:] for p in (1, 2, 3)}
+        self.lam_b = {p: lam[q][N - 1::-1] for p, q in ((1, 1), (2, 3), (3, 2))}
+        self.resonance = detect_resonance(params, N)
+        self.resonance_adjusted = apply_resonance_convention and self.resonance is not None
         # zero locations z = -i conj(lambda)
         self.root_a = {p: -1j * np.conj(self.lam_a[p]) for p in (1, 2, 3)}
         self.root_b = {p: -1j * np.conj(self.lam_b[p]) for p in (1, 2, 3)}

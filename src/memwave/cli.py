@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -117,9 +118,8 @@ def cmd_spectrum(params: ModelParams, args, report: Report) -> None:
     M = params.M
     n = np.arange(1, n_sweep + 1)
     nf = n.astype(float)
-    mu1 = sp.mu1_array(n, M)
-    beta = np.sqrt(3 * (mu1 / 2) ** 2 + nf**2)
-    mu2 = -mu1 / 2 + 1j * beta
+    roots = sp.branch_roots(n, M)
+    mu1, mu2, beta = roots[:, 0].real, roots[:, 1], roots[:, 1].imag
     s1 = np.abs(mu1 + mu2 + np.conj(mu2))
     s2 = np.abs(mu1 * mu2 + mu1 * np.conj(mu2) + np.abs(mu2) ** 2 - nf**2) / nf**2
     s3 = np.abs(mu1 * np.abs(mu2) ** 2 - M * nf**2) / np.abs(M * nf**2)
@@ -224,8 +224,8 @@ def cmd_biorth(params: ModelParams, args, report: Report) -> None:
     n_prod = args.n_prod
     ev = bio.ProductEvaluator(params, n_prod)
     zs = rng.uniform(-50, 50, 100) + 1j * rng.uniform(-1, 1, 100)
-    devs = [abs(ev.evaluate(z).value - ev.evaluate_factored(z))
-            / max(abs(ev.evaluate(z).value), 1e-300) for z in zs]
+    values = [ev.evaluate(z).value for z in zs]
+    devs = [abs(v - ev.evaluate_factored(z)) / max(abs(v), 1e-300) for v, z in zip(values, zs)]
     report.check("product_factorization_consistency", max(devs) <= 1e-8, max(devs), 1e-8)
 
     labels = [(m, j) for m in (1, 2, 3, 5, 8, min(20, n_prod), min(200, n_prod))
@@ -375,8 +375,11 @@ def cmd_simulate(params: ModelParams, args, report: Report) -> None:
     out = sim.duality_residual(params, y0r, y1r, ur, term, args.n_steps // 2)
     report.check("duality_residual_exponential", out["residual"] <= 1e-6,
                  out["residual"], 1e-6)
+    # probe at and above the resolution rule 10*T*N, where the rk4 error is
+    # in its fourth-order regime (1024 and 4096 steps at the defaults)
+    n0 = 1 << math.ceil(math.log2(10.0 * params.T * params.N))
     res = [sim.duality_residual(params, y0r, y1r, ur, term, nt, method="rk4")["residual"]
-           for nt in (512, 2048)]
+           for nt in (n0, 4 * n0)]
     order = float(np.log(res[0] / res[1]) / np.log(4.0))
     report.check("duality_residual_rk4_order", order >= 3.0, order, 3.0)
 

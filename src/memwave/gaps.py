@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from .model import InvalidParameterError, ModelParams
-from .spectrum import mu1_array, shifted_spectrum_arrays, spectrum_modes
+from .spectrum import branch_roots, shifted_spectrum_arrays, spectrum_modes
 
 __all__ = [
     "ClosePair",
@@ -53,8 +53,8 @@ def ladder_threshold(M: float, epsilon: float, n_cap: int = 10**7) -> int:
     while start <= n_cap:
         stop = min(n_cap, max(start * 4, 64))
         n = np.arange(start, stop + 1)
-        mu1 = mu1_array(n, M)
-        g = 0.75 * mu1**2 / (np.sqrt(0.75 * mu1**2 + n.astype(float) ** 2) + n)
+        roots = branch_roots(n, M)
+        g = 0.75 * roots[:, 0].real ** 2 / (roots[:, 1].imag + n)
         hits = np.nonzero(g <= epsilon)[0]
         if len(hits):
             return int(n[hits[0]])

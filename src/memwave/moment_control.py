@@ -36,7 +36,7 @@ from .model import (
     shift_arcs,
     sobolev_norm,
 )
-from .spectrum import mu1_array
+from .spectrum import branch_roots
 
 __all__ = [
     "MomentData",
@@ -109,10 +109,7 @@ def moment_rhs(y0: FourierField, y1: FourierField, params: ModelParams, N: int) 
     """Assemble the moment right-hand sides for data truncated at N."""
     _require_truncated(y0, N, "y0")
     _require_truncated(y1, N, "y1")
-    pos = np.arange(1, N + 1)
-    mu1 = mu1_array(pos, params.M)
-    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
-    roots = np.stack([mu1 + 0j, -mu1 / 2.0 + 1j * beta, -mu1 / 2.0 - 1j * beta], axis=1)
+    roots = branch_roots(np.arange(1, N + 1), params.M)
     rhs: dict[tuple[int, int], complex] = {}
     for absn in range(1, N + 1):
         for n in (absn, -absn):

@@ -38,7 +38,7 @@ from .model import (
     sobolev_norm,
 )
 from .moment_control import ControlField, FrameError, _halfline_time_integral
-from .spectrum import mu1_array, shifted_spectrum_arrays, spectrum_modes
+from .spectrum import branch_roots, shifted_spectrum_arrays, spectrum_modes
 
 __all__ = [
     "Trajectory",
@@ -105,9 +105,7 @@ class Trajectory:
 def _mode_eigensystem(params: ModelParams, modes: np.ndarray):
     """Eigenvalues and eigenvector frames of the per-mode forward generators."""
     absn = np.abs(modes)
-    mu1 = mu1_array(absn, params.M)
-    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + absn.astype(float) ** 2)
-    mu = np.stack([mu1.astype(complex), -mu1 / 2 + 1j * beta, -mu1 / 2 - 1j * beta], axis=1)
+    mu = branch_roots(absn, params.M)
     m = len(modes)
     V = np.empty((m, 3, 3), dtype=complex)
     V[:, 0, :] = 1.0

@@ -38,6 +38,7 @@ __all__ = [
     "solve_cubic_spectrum",
     "asymptotic_mu1",
     "mu1_array",
+    "branch_roots",
     "shifted_eigenvalue",
     "shifted_spectrum_arrays",
     "spectrum_modes",
@@ -74,8 +75,9 @@ def _cubic(mu: np.ndarray, n2: np.ndarray, M: float) -> np.ndarray:
 def mu1_array(n: Sequence[int] | np.ndarray, M: float) -> np.ndarray:
     """Real root of the characteristic cubic for every mode in `n` (vectorised).
 
-    Bracketed bisection on (0, M) (or (M, 0) for M < 0) to 1e-14 absolute,
-    then two Newton polish steps.
+    The cubic has one real root because n^2 > 0; Cardano's form
+    mu1 = (2n/sqrt3) sinh(asinh(3 sqrt3 M / (2n)) / 3) gives it, then two
+    Newton polish steps.
     """
     if M == 0.0:
         raise InvalidParameterError("M = 0 degenerates the cubic (roots {0, +-in})")
@@ -83,20 +85,23 @@ def mu1_array(n: Sequence[int] | np.ndarray, M: float) -> np.ndarray:
     if np.any(n < 1):
         raise InvalidParameterError("mode indices must satisfy n >= 1")
     n2 = n * n
-    lo = np.zeros_like(n2)
-    hi = np.full_like(n2, float(M))
-    if M < 0.0:
-        lo, hi = hi, lo
-    # 60 bisection steps bring |hi - lo| below 1e-14 |M|
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        left = _cubic(lo, n2, M) * _cubic(mid, n2, M) <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-    mu = 0.5 * (lo + hi)
+    mu = 2.0 * n / math.sqrt(3.0) * np.sinh(np.arcsinh(1.5 * math.sqrt(3.0) * M / n) / 3.0)
     for _ in range(2):
         mu = mu - _cubic(mu, n2, M) / (3.0 * mu * mu + n2)
     return mu
+
+
+def branch_roots(n: Sequence[int] | np.ndarray, M: float) -> np.ndarray:
+    """(len(n), 3) array of the roots (mu1, mu2, mu3) for every mode in `n`.
+
+    The complex pair is derived from the real root, mu2 = -mu1/2 + i beta =
+    conj(mu3) with beta = sqrt(3 (mu1/2)^2 + n^2), so the structural identities
+    hold exactly.
+    """
+    n = np.asarray(n, dtype=float)
+    mu1 = mu1_array(n, M)
+    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + n ** 2)
+    return np.stack([mu1 + 0j, -mu1 / 2.0 + 1j * beta, -mu1 / 2.0 - 1j * beta], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -133,10 +138,8 @@ def solve_cubic_spectrum(n: int, M: float) -> EigenTriple:
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    mu1 = float(mu1_array(np.array([n], dtype=float), M)[0])
-    imag = math.sqrt(3.0 * (mu1 / 2.0) ** 2 + float(n) ** 2)
-    mu2 = complex(-mu1 / 2.0, imag)
-    return EigenTriple(n=n, M=M, mu1=mu1, mu2=mu2, mu3=mu2.conjugate())
+    mu1, mu2, mu3 = branch_roots([n], M)[0]
+    return EigenTriple(n=n, M=M, mu1=float(mu1.real), mu2=complex(mu2), mu3=complex(mu3))
 
 
 def asymptotic_mu1(n: int | np.ndarray, M: float) -> float | np.ndarray:
@@ -196,9 +199,8 @@ def resonance_shift(n_c: int, params: ModelParams) -> complex:
     The collided eigenvalue -mu1/2 is moved to mu1/2 - i/2 (the imaginary
     part drops by 1/2 and the real part flips sign).
     """
-    mu1 = solve_cubic_spectrum(n_c, params.M).mu1
-    beta = math.sqrt(3.0 * (mu1 / 2.0) ** 2 + float(n_c) ** 2)
-    return complex(mu1 / 2.0, -params.c * n_c + beta - 0.5)
+    mu1, mu2, _ = branch_roots([n_c], params.M)[0]
+    return complex(mu1.real / 2.0, -params.c * n_c + mu2.imag - 0.5)
 
 
 def shifted_eigenvalue(
@@ -216,14 +218,11 @@ def shifted_eigenvalue(
         raise InvalidParameterError("n must be a nonzero integer")
     if j not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}")
-    if apply_resonance_convention:
-        hit = detect_resonance(params)
-        if hit is not None and (n, j) == (-hit[0], 2):
-            return ShiftedEigenvalue(n=n, j=j, lam=resonance_shift(hit[0], params),
-                                     resonance_adjusted=True)
-    tri = solve_cubic_spectrum(abs(n), params.M)
-    lam = 1j * params.c * n + tri.roots[j - 1]
-    return ShiftedEigenvalue(n=n, j=j, lam=complex(lam))
+    hit = detect_resonance(params) if apply_resonance_convention else None
+    adjusted = hit is not None and (n, j) == (-hit[0], 2)
+    # mode n is the first (n < 0) or the last entry of [-|n|..-1, 1..|n|]
+    lam = shifted_spectrum_arrays(params, abs(n), adjusted)[j][0 if n < 0 else -1]
+    return ShiftedEigenvalue(n=n, j=j, lam=complex(lam), resonance_adjusted=adjusted)
 
 
 def shifted_spectrum_arrays(
@@ -231,22 +230,17 @@ def shifted_spectrum_arrays(
 ) -> dict[int, np.ndarray]:
     """lambda(n, j) for n = -N..-1, 1..N as arrays keyed by branch.
 
-    Each array is indexed by position over the mode list [-N..-1, 1..N].
+    Each array is indexed by position over the mode list [-N..-1, 1..N].  This
+    is the one place that shifts the roots into the moving frame and applies
+    the resonance convention, which replaces lambda(-n_c, 2).
     """
-    pos = np.arange(1, N + 1)
-    mu1 = mu1_array(pos, params.M)
-    beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + pos.astype(float) ** 2)
-    mus = {1: mu1.astype(complex), 2: -mu1 / 2.0 + 1j * beta, 3: -mu1 / 2.0 - 1j * beta}
-    modes = np.concatenate([-pos[::-1], pos])
-    out = {}
-    for j in BRANCHES:
-        out[j] = 1j * params.c * modes + np.concatenate([mus[j][::-1], mus[j]])
+    modes = spectrum_modes(N)
+    mus = branch_roots(np.abs(modes), params.M)
+    out = {j: 1j * params.c * modes + mus[:, j - 1] for j in BRANCHES}
     if apply_resonance_convention:
         hit = detect_resonance(params, N)
         if hit is not None:
-            n_c = hit[0]
-            out[2] = out[2].copy()
-            out[2][N - n_c] = resonance_shift(n_c, params)
+            out[2][N - hit[0]] = resonance_shift(hit[0], params)
     return out
 
 
@@ -299,21 +293,23 @@ def eigenvector_residual(n: int, j: int, params: ModelParams) -> float:
 
 
 def _hermitian3_eigvals(H: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix by the trigonometric closed form."""
-    q = np.trace(H).real / 3.0
-    p1 = abs(H[0, 1]) ** 2 + abs(H[0, 2]) ** 2 + abs(H[1, 2]) ** 2
-    p2 = sum((H[i, i].real - q) ** 2 for i in range(3)) + 2.0 * p1
-    if p2 <= 0.0:
-        return np.full(3, q)
-    p = math.sqrt(p2 / 6.0)
-    B = (H - q * np.eye(3)) / p
-    r = np.linalg.det(B).real / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    """Ascending eigenvalues of 3x3 Hermitian matrices (..., 3, 3) by the
+    trigonometric closed form."""
+    d = np.diagonal(H, axis1=-2, axis2=-1).real
+    q = np.trace(H, axis1=-2, axis2=-1).real / 3.0
+    p1 = np.abs(H[..., 0, 1]) ** 2 + np.abs(H[..., 0, 2]) ** 2 + np.abs(H[..., 1, 2]) ** 2
+    p2 = (d[..., 0] - q) ** 2 + (d[..., 1] - q) ** 2 + (d[..., 2] - q) ** 2 + 2.0 * p1
+    # p2 = 0 only for H = q I, whose eigenvalues are q
+    degenerate = p2 <= 0.0
+    p = np.where(degenerate, 1.0, np.sqrt(p2 / 6.0))
+    B = (H - q[..., None, None] * np.eye(3)) / p[..., None, None]
+    r = np.clip(np.linalg.det(B).real / 2.0, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    e1 = q + 2.0 * p * np.cos(phi)
+    e3 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
     e2 = 3.0 * q - e1 - e3
-    return np.array(sorted((e1, e2, e3)))
+    eig = np.sort(np.stack([e1, e2, e3], axis=-1), axis=-1)
+    return np.where(degenerate[..., None], q[..., None], eig)
 
 
 @dataclass(frozen=True)
@@ -329,15 +325,26 @@ class RieszMatrix:
         return complex(np.linalg.det(self.B))
 
 
+def _riesz_frames(modes: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Frame matrices B_n for the nonzero `modes`, shape (k, 3, 3), and their
+    ascending singular values, shape (k, 3)."""
+    N = int(np.abs(modes).max())
+    arrays = shifted_spectrum_arrays(params, N)
+    lam = np.stack([arrays[j][modes + N - (modes > 0)] for j in BRANCHES], axis=1)
+    B = np.stack([
+        np.ones_like(lam),
+        lam / np.abs(modes)[:, None],
+        1.0 / (lam - 1j * params.c * modes[:, None]),
+    ], axis=1)
+    H = np.swapaxes(B.conj(), 1, 2) @ B
+    return B, np.sqrt(np.maximum(_hermitian3_eigvals(H), 0.0))
+
+
 def riesz_matrix(n: int, params: ModelParams) -> RieszMatrix:
-    lams = np.array([shifted_eigenvalue(n, j, params).lam for j in BRANCHES])
-    B = np.vstack([
-        np.ones(3, dtype=complex),
-        lams / abs(n),
-        1.0 / (lams - 1j * params.c * n),
-    ])
-    sv = np.sqrt(np.maximum(_hermitian3_eigvals(B.conj().T @ B), 0.0))
-    return RieszMatrix(n=n, B=B, singular_values=sv)
+    if n == 0:
+        raise InvalidParameterError("n must be a nonzero integer")
+    B, sv = _riesz_frames(np.array([n]), params)
+    return RieszMatrix(n=n, B=B[0], singular_values=sv[0])
 
 
 def limit_gram_matrix(params: ModelParams) -> np.ndarray:
@@ -358,13 +365,10 @@ def limit_gram_matrix(params: ModelParams) -> np.ndarray:
 
 def singular_value_envelope(params: ModelParams, N: int) -> tuple[float, float]:
     """Smallest and largest singular value of B_n over 1 <= |n| <= N."""
-    lo, hi = math.inf, 0.0
-    for n in range(1, N + 1):
-        for m in (n, -n):
-            sv = riesz_matrix(m, params).singular_values
-            lo = min(lo, float(sv[0]))
-            hi = max(hi, float(sv[-1]))
-    return lo, hi
+    if N < 1:
+        raise InvalidParameterError("N must be a positive integer")
+    _, sv = _riesz_frames(spectrum_modes(N), params)
+    return float(sv[:, 0].min()), float(sv[:, -1].max())
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,13 @@ class TestCLI:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_simulate_defaults_write_nothing_to_stderr(self, tmp_path):
+        # the rk4 order probe runs at and above the 10*T*N resolution rule,
+        # so no resolution warning fires at the defaults
+        res = run_cli("simulate", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert res.stderr == ""
+
     def test_memoryless_coupling_rejected(self, tmp_path):
         res = run_cli("spectrum", "--M", "0", "--out", str(tmp_path))
         assert res.returncode == 1

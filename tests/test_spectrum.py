@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memwave.biorthogonal import ProductEvaluator, family_exponents
 from memwave.model import InvalidParameterError, ModelParams
 from memwave.spectrum import (
     ResonanceAmbiguityError,
@@ -106,8 +107,10 @@ class TestCubicRoots:
             solve_cubic_spectrum(0, 1.0)
 
     def test_matches_oracle_along_sweep(self):
-        ns = [1, 2, 5, 17, 111, 1024]
-        for M in (1.0, -2.0, 0.5):
+        # the far ratios |M|/n from 1e-3/2e5 to 10 reach both ends of the
+        # closed form's asinh argument
+        ns = [1, 2, 5, 17, 111, 1024, 200_000]
+        for M in (1.0, -2.0, 0.5, 1e-3, -1e-3, 7.0, -10.0):
             mu = mu1_array(np.array(ns), M)
             for k, n in enumerate(ns):
                 assert mu[k] == pytest.approx(mu1_oracle(n, M), rel=1e-13)
@@ -222,6 +225,21 @@ class TestRieszMatrices:
     def test_envelope_positive(self, params_c2):
         lo, hi = singular_value_envelope(params_c2, 50)
         assert 0 < lo < hi
+        with pytest.raises(InvalidParameterError):
+            singular_value_envelope(params_c2, 0)
+
+    def test_envelope_against_dense_svd(self, params_c2):
+        # the same 400 frames, assembled here from the scalar eigenvalues and
+        # reduced by LAPACK's SVD instead of the closed-form eigenvalues
+        for p in (params_c2, ModelParams(M=-2.0, c=0.5, T=30.0, omega0=((0.0, 1.0),), N=2)):
+            frames = []
+            for n in list(range(-200, 0)) + list(range(1, 201)):
+                lam = np.array([shifted_eigenvalue(n, j, p).lam for j in (1, 2, 3)])
+                frames.append([np.ones(3), lam / abs(n), 1.0 / (lam - 1j * p.c * n)])
+            sv = np.linalg.svd(np.array(frames), compute_uv=False)
+            lo, hi = singular_value_envelope(p, 200)
+            assert lo == pytest.approx(sv.min(), rel=1e-12)
+            assert hi == pytest.approx(sv.max(), rel=1e-12)
 
     def test_limit_matrix_entrywise(self):
         # imaginary corrections at n decay like C/n with C < 1 for c = 1/2
@@ -292,6 +310,29 @@ class TestResonance:
         assert adj.lam == pytest.approx(complex(MU1_11 / 2, -0.5), abs=1e-12)
         untouched = shifted_eigenvalue(1, 2, p, apply_resonance_convention=True)
         assert not untouched.resonance_adjusted
+
+    @given(M=st.floats(0.1, 3.0), sign=st.sampled_from([1.0, -1.0]),
+           n_c=st.integers(1, 8), extra=st.integers(0, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_convention_agrees_across_users(self, M, sign, n_c, extra):
+        M, N = sign * M, n_c + extra
+        p = ModelParams(M=M, c=resonance_velocity(n_c, M), T=30.0,
+                        omega0=((0.0, 1.0),), N=N)
+        split = resonance_shift(n_c, p)
+        at = N - n_c  # position of mode -n_c in spectrum_modes(N)
+        plain = shifted_spectrum_arrays(p, N)
+        arrays = shifted_spectrum_arrays(p, N, True)
+        for j in (1, 2, 3):
+            moved = np.nonzero(arrays[j] != plain[j])[0].tolist()
+            assert moved == ([at] if j == 2 else [])
+        assert arrays[2][at] == split
+        assert family_exponents(p, N)[2 * N + at] == split
+        ev = ProductEvaluator(p, 100, apply_resonance_convention=True)
+        assert ev.resonance_adjusted and ev.lam_b[3][n_c - 1] == split
+        lam = shifted_eigenvalue(-n_c, 2, p, apply_resonance_convention=True)
+        assert lam.resonance_adjusted and lam.lam == split
+        adjusted = [row for row in spectrum_table(p, N, True) if row[4]]
+        assert adjusted == [(-n_c, 2, split.real, split.imag, True)]
 
 
 class TestExport:
