@@ -153,6 +153,39 @@ def _ladder_checks(
     return ok, margins
 
 
+def _min_gap(points: np.ndarray, others: np.ndarray | None = None) -> float:
+    """min |points[i] - others[j]| over all pairs, or over i != j without others.
+
+    Nearest neighbours come from a k-d tree on (Re, Im) (Friedman, Bentley &
+    Finkel 1977) in O(n log n) time and O(n) memory.  Each point's distance to
+    its neighbour is then recomputed as np.abs of the complex difference, so
+    the minimum is the number a dense scan of np.abs returns (barring two
+    neighbours whose distances tie to within rounding).
+    """
+    from scipy.spatial import cKDTree
+
+    tree_pts = points if others is None else others
+    tree = cKDTree(np.column_stack([tree_pts.real, tree_pts.imag]))
+    _, idx = tree.query(np.column_stack([points.real, points.imag]),
+                        k=2 if others is None else 1)
+    if others is None:
+        # the first neighbour of a point is itself unless it has a duplicate
+        idx = np.where(idx[:, 0] == np.arange(len(points)), idx[:, 1], idx[:, 0])
+    return float(np.abs(points - tree_pts[idx]).min())
+
+
+def _equal_pairs(values: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs i < j with values[i] == values[j], in row-major order."""
+    order = np.lexsort((values.imag, values.real))
+    v = values[order]
+    run = np.cumsum(np.concatenate([[True], v[1:] != v[:-1]])) - 1
+    pairs = []
+    for r in np.flatnonzero(np.bincount(run) > 1):
+        group = np.sort(order[run == r])
+        pairs += [(int(i), int(j)) for a, i in enumerate(group) for j in group[a + 1:]]
+    return sorted(pairs)
+
+
 def gap_report(params: ModelParams, N: int, epsilon: float | None = None) -> GapReport:
     """Classify all pairwise eigenvalue distances on |n|, |m| <= N.
 
@@ -178,14 +211,9 @@ def gap_report(params: ModelParams, N: int, epsilon: float | None = None) -> Gap
     lam = shifted_spectrum_arrays(mirrored, N)
     lam1, lam2, lam3 = lam[1], lam[2], lam[3]
 
-    # branch-1 against branches 2 and 3
-    cross = np.abs(lam1[:, None] - np.concatenate([lam2, lam3])[None, :])
-    min_cross = float(cross.min())
-
-    # branch-1 against itself, distinct entries
-    self1 = np.abs(lam1[:, None] - lam1[None, :])
-    np.fill_diagonal(self1, np.inf)
-    min_self = float(self1.min())
+    # branch-1 against branches 2 and 3, and against itself (distinct entries)
+    min_cross = _min_gap(lam1, np.concatenate([lam2, lam3]))
+    min_self = _min_gap(lam1)
 
     # close pairs at the nearest partner mode
     modes = spectrum_modes(N)
@@ -207,15 +235,8 @@ def gap_report(params: ModelParams, N: int, epsilon: float | None = None) -> Gap
     # duplicate census over the whole window
     all_lam = np.concatenate([lam1, lam2, lam3])
     labels = [(int(n), j) for j in (1, 2, 3) for n in modes]
-    dist = np.abs(all_lam[:, None] - all_lam[None, :])
-    np.fill_diagonal(dist, np.inf)
-    min_pairwise = float(dist.min())
-    coincidences: list[tuple[int, int, int, int]] = []
-    if min_pairwise == 0.0:
-        ii, jj = np.nonzero(dist == 0.0)
-        for i, j in zip(ii, jj):
-            if i < j:
-                coincidences.append((*labels[i], *labels[j]))
+    min_pairwise = _min_gap(all_lam)
+    coincidences = [(*labels[i], *labels[j]) for i, j in _equal_pairs(all_lam)]
 
     return GapReport(
         params=params,

@@ -145,6 +145,12 @@ class ModelParams:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("M", "c", "T", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{name} = {value} is not a finite number; every spectral "
+                    "and control quantity of the model would be undefined")
         if self.M == 0.0:
             raise InvalidParameterError(
                 "M = 0 removes the memory term entirely (plain wave equation); "

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from memwave.biorthogonal import (
     NuSequence,
     ProductEvaluator,
     branch_limit_constant,
-    dP_at_eigen,
     dual_family_gram,
     family_exponents,
     family_index,
@@ -142,8 +142,33 @@ class TestDerivative:
         ev_adj = ProductEvaluator(p, 200, apply_resonance_convention=True)
         assert abs(ev_adj.derivative_at_zero(1, 3)) > 0
 
-    def test_wrapper(self, params_c2):
-        assert abs(dP_at_eigen(1, 1, params_c2, 200)) > 0
+    def test_one_shot_evaluator(self, params_c2):
+        assert abs(ProductEvaluator(params_c2, 200).derivative_at_zero(1, 1)) > 0
+
+
+class TestLogKernel:
+    """The real-kernel log sum against 40-digit logs of the same factors."""
+
+    @pytest.fixture(scope="class")
+    def long_product(self):
+        p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, np.pi / 2),), N=8)
+        return ProductEvaluator(p, 20_000)
+
+    @pytest.mark.parametrize("where", ["large", "near_zero", "imaginary_axis"])
+    def test_value_matches_mpmath(self, long_product, where):
+        ev = long_product
+        z = {"large": 45.3 + 0.6j,
+             # a point of the 0.25 ring around a zero, as in the CLI's depth check
+             "near_zero": ev.zero_location(5, 3) + 0.25,
+             "imaginary_axis": 60j}[where]
+        with mpmath.workdps(40):
+            log_sum = 3 * mpmath.log(mpmath.mpc(z)) + mpmath.mpc(ev._tail_log(z))
+            for p in (1, 2, 3):
+                factors = (1.0 - z / ev.root_a[p]) * (1.0 - z / ev.root_b[p])
+                log_sum += mpmath.fsum(mpmath.log(mpmath.mpc(f)) for f in factors.tolist())
+            expected = complex(mpmath.exp(log_sum))
+        value = ev.evaluate(z).value
+        assert abs(value - expected) <= 5e-13 * abs(expected)
 
 
 class TestWindowGram:

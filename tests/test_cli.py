@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*argv: str):
     return subprocess.run(
@@ -52,6 +54,15 @@ class TestCLI:
         res = run_cli("gaps", "--c", "1", "--out", str(tmp_path))
         assert res.returncode == 1
         assert "accumulate" in res.stderr
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--M", "nan"), ("--M", "inf"), ("--T", "inf"), ("--c", "nan")])
+    def test_nonfinite_parameter_rejected(self, tmp_path, flag, value):
+        res = run_cli("control", flag, value, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert "parameter rejected" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "report_control.json").exists()
 
     def test_subcritical_control_warns(self, tmp_path):
         res = run_cli("control", "--T", "5", "--N", "4", "--out", str(tmp_path))

@@ -1,4 +1,9 @@
+import dataclasses
 import io
+import json
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +17,38 @@ from memwave.gaps import (
     write_close_pairs_csv,
 )
 from memwave.model import ModelParams
-from memwave.spectrum import mu1_array, resonance_velocity
+from memwave.spectrum import (
+    mu1_array,
+    resonance_velocity,
+    shifted_spectrum_arrays,
+    spectrum_modes,
+)
+
+
+def dense_census(params: ModelParams, N: int) -> dict:
+    """The (6N)^2 pairwise-distance scan that gap_report's k-d tree replaces."""
+    c = abs(params.c)
+    lam = shifted_spectrum_arrays(dataclasses.replace(params, c=c), N)
+    cross = np.abs(lam[1][:, None] - np.concatenate([lam[2], lam[3]])[None, :])
+    self1 = np.abs(lam[1][:, None] - lam[1][None, :])
+    np.fill_diagonal(self1, np.inf)
+    all_lam = np.concatenate([lam[1], lam[2], lam[3]])
+    labels = [(int(n), j) for j in (1, 2, 3) for n in spectrum_modes(N)]
+    dist = np.abs(all_lam[:, None] - all_lam[None, :])
+    np.fill_diagonal(dist, np.inf)
+    ii, jj = np.nonzero(dist == 0.0)
+    return {
+        "min_gap_branch1_cross": float(cross.min()),
+        "min_gap_branch1_self": float(self1.min()),
+        "min_pairwise_distance": float(dist.min()),
+        "coincidences": [[*labels[i], *labels[j]] for i, j in zip(ii, jj) if i < j],
+    }
+
+
+def assert_matches_dense(params: ModelParams, N: int) -> None:
+    payload = gap_report(params, N).to_json()
+    expected = {**json.loads(payload), **dense_census(params, N)}
+    assert payload == json.dumps(expected, sort_keys=True)
 
 
 class TestNearestPartner:
@@ -122,3 +158,39 @@ class TestGapReport:
         assert rep.min_gap_branch1_cross >= 0.5 - 1e-12
         assert rep.min_gap_branch1_self >= abs(c) - 1e-12
         assert len(rep.coincidences) <= 1
+
+
+class TestTreeCensus:
+    @given(M=st.floats(0.2, 3.0), M_sign=st.sampled_from([1.0, -1.0]),
+           c=st.floats(0.1, 3.0).filter(lambda v: abs(v - 1.0) > 0.05),
+           c_sign=st.sampled_from([1.0, -1.0]), N=st.integers(2, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_census(self, M, M_sign, c, c_sign, N):
+        p = ModelParams(M=M * M_sign, c=c * c_sign, T=30.0, omega0=((0.0, 1.0),), N=4)
+        assert_matches_dense(p, N)
+
+    def test_matches_dense_census_resonant(self):
+        p = ModelParams(M=1.0, c=resonance_velocity(1, 1.0), T=30.0,
+                        omega0=((0.0, 1.0),), N=4)
+        assert len(dense_census(p, 150)["coincidences"]) == 1
+        assert_matches_dense(p, 150)
+
+    def test_large_window_memory(self):
+        p = ModelParams(M=1.3, c=2.2, T=30.0, omega0=((0.0, 1.0),), N=4)
+        tracemalloc.start()
+        try:
+            rep = gap_report(p, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.min_pairwise_distance > 0.0
+        assert rep.coincidences == ()
+        assert peak < 200e6
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        # gap_report imports the k-d tree lazily, so importing gaps (as the
+        # control pipeline does) does not pay for scipy.spatial
+        code = "import sys, memwave.gaps; print('scipy.spatial' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

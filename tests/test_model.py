@@ -129,6 +129,14 @@ class TestModelParams:
         with pytest.raises(InvalidParameterError):
             ModelParams(**{**good, "omega0": ()})
 
+    @given(name=st.sampled_from(["M", "c", "T", "sigma"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=30, deadline=None)
+    def test_nonfinite_rejected(self, name, value):
+        good = dict(M=1.0, c=2.0, T=1.0, omega0=((0.0, 1.0),), N=2, sigma=0.0)
+        with pytest.raises(InvalidParameterError, match=f"{name} = {value}"):
+            ModelParams(**{**good, name: value})
+
     def test_supercritical_flag(self):
         t0 = 2 * np.pi * (1 / 2 + 1 / 1 + 1 / 3)
         assert minimal_control_time(2.0) == pytest.approx(t0)
