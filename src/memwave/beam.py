@@ -11,9 +11,9 @@ the energy centroid does not move and the energy mass off the ray
 propagate, a control region that never visits x0 cannot see it; this module
 quantifies the residual, the energy normalization and the localization.
 
-All derivative formulas are closed forms; quadrature only integrates smooth
-Gaussian-weighted polynomials (the oscillatory phase cancels in every
-modulus-squared integrand).
+All derivative formulas and integrals are closed forms: the oscillatory phase
+cancels in every modulus-squared integrand, leaving an even polynomial of
+degree <= 4 in x - x0 times a Gaussian, which three Gaussian moments integrate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import InvalidParameterError
 
@@ -116,16 +115,24 @@ def beam_state(bp: BeamParams, t: float) -> BeamProfile:
 
 
 # ---------------------------------------------------------------------------
-# quadrature of the modulus-squared integrands
+# closed-form moments of the modulus-squared integrands
 # ---------------------------------------------------------------------------
 
-def _l2sq(bp: BeamParams, weight) -> float:
-    """int |p(0,x)|^2 w(x) dx with smooth weight w, over the truncated domain."""
+def _moments(bp: BeamParams, lo: float = 0.0) -> tuple[float, float, float]:
+    """(m0, m2, m4): m_2k = int_{lo < |y| < L} c^2 y^{2k} e^{-a y^2} dy, a = 2/sqrt(eps).
+
+    L is the domain half-width.  m0 is an erfc difference (Abramowitz & Stegun
+    7.1; erf would lose the digits of the off-ray tails), and integration by
+    parts gives m_2k = ((2k-1) m_2k-2 + 2 [y^{2k-1} e^{-a y^2}]_L^lo) / (2a).
+    """
+    a = 2.0 / math.sqrt(bp.epsilon)
+    L = bp.half_width
+    m = [math.sqrt(math.pi / a) * (math.erfc(math.sqrt(a) * lo) - math.erfc(math.sqrt(a) * L))]
+    for k in (1, 2):
+        edge = lo ** (2 * k - 1) * math.exp(-a * lo * lo) - L ** (2 * k - 1) * math.exp(-a * L * L)
+        m.append(((2 * k - 1) * m[-1] + 2.0 * edge) / (2.0 * a))
     c2 = normalization_constant(bp) ** 2
-    a, b = bp.domain
-    val, _ = quad(lambda x: c2 * weight(x) * math.exp(
-        -2.0 * (x - bp.x0) ** 2 / math.sqrt(bp.epsilon)), a, b, limit=400)
-    return val
+    return c2 * m[0], c2 * m[1], c2 * m[2]
 
 
 def beam_h1_norm(bp: BeamParams) -> float:
@@ -135,9 +142,8 @@ def beam_h1_norm(bp: BeamParams) -> float:
     1/eps^2 term, the envelope the quadratic one.
     """
     eps = bp.epsilon
-    l2 = _l2sq(bp, lambda x: 1.0)
-    dx2 = _l2sq(bp, lambda x: 1.0 / eps**2 + 4.0 * (x - bp.x0) ** 2 / eps)
-    return math.sqrt(l2 + dx2)
+    m0, m2, _ = _moments(bp)
+    return math.sqrt(m0 + m0 / eps**2 + 4.0 * m2 / eps)
 
 
 def beam_residual_norm(bp: BeamParams, times: Sequence[float] | None = None) -> float:
@@ -150,21 +156,17 @@ def beam_residual_norm(bp: BeamParams, times: Sequence[float] | None = None) -> 
         R/p = kappa^2 + (M^3 eps^2 / kappa) * D(x),
         D(x) = (i/eps - 2(x-x0)/sqrt(eps))^2 - 2/sqrt(eps),
 
-    with kappa = M - M^3 eps^2, so the norm is a Gaussian-weighted polynomial
-    integral times the time growth factor.
+    with kappa = M - M^3 eps^2, so |R/p|^2 = (a0 + a2 y^2)^2 + 16 ratio^2 y^2 / eps^3
+    (y = x - x0, ratio = M^3 eps^2 / kappa) integrates to moments of the Gaussian.
     """
     eps = bp.epsilon
     kappa = bp.time_rate
     ratio = bp.M**3 * eps**2 / kappa
-
-    def mod2(x: float) -> float:
-        d_re = 4.0 * (x - bp.x0) ** 2 / eps - 2.0 / math.sqrt(eps) - 1.0 / eps**2
-        d_im = -4.0 * (x - bp.x0) / (eps * math.sqrt(eps))
-        re = kappa**2 + ratio * d_re
-        im = ratio * d_im
-        return re * re + im * im
-
-    base = math.sqrt(_l2sq(bp, mod2))
+    a0 = kappa**2 + ratio * (-2.0 / math.sqrt(eps) - 1.0 / eps**2)
+    a2 = ratio * 4.0 / eps
+    m0, m2, m4 = _moments(bp)
+    base = math.sqrt(a0 * a0 * m0 + (2.0 * a0 * a2 + 16.0 * ratio**2 / eps**3) * m2
+                     + a2 * a2 * m4)
     ts = np.linspace(0.0, 1.0, 9) if times is None else np.asarray(times, dtype=float)
     return float(max(base * math.exp(bp.time_rate * t) for t in ts))
 
@@ -189,22 +191,8 @@ def beam_energy_report(bp: BeamParams) -> BeamDiagnostics:
     Gaussian envelope at that threshold.
     """
     eps = bp.epsilon
-    kappa = bp.time_rate
-
-    def energy_weight(x: float) -> float:
-        return 0.5 * (kappa**2 + 1.0 / eps**2 + 4.0 * (x - bp.x0) ** 2 / eps)
-
-    E0 = _l2sq(bp, energy_weight)
-    thr = eps ** 0.125
-    c2 = normalization_constant(bp) ** 2
-    a, b = bp.domain
-
-    def integrand(x: float) -> float:
-        return c2 * energy_weight(x) * math.exp(-2.0 * (x - bp.x0) ** 2 / math.sqrt(eps))
-
-    off, _ = quad(integrand, bp.x0 + thr, b, limit=400)
-    off2, _ = quad(integrand, a, bp.x0 - thr, limit=400)
-    offray = off + off2
+    E0, offray = (0.5 * ((bp.time_rate**2 + 1.0 / eps**2) * m0 + 4.0 * m2 / eps)
+                  for m0, m2, _ in (_moments(bp), _moments(bp, eps ** 0.125)))
     return BeamDiagnostics(
         epsilon=eps,
         residual_norm=beam_residual_norm(bp),
@@ -217,16 +205,12 @@ def beam_energy_report(bp: BeamParams) -> BeamDiagnostics:
 
 
 def energy_centroid(bp: BeamParams, t: float) -> float:
-    """First moment of the energy density at time t (time factor cancels)."""
-    eps = bp.epsilon
-    kappa = bp.time_rate
+    """First moment of the energy density at time t over its mass.
 
-    def weight(x: float) -> float:
-        return 0.5 * (kappa**2 + 1.0 / eps**2 + 4.0 * (x - bp.x0) ** 2 / eps)
-
-    num = _l2sq(bp, lambda x: x * weight(x))
-    den = _l2sq(bp, weight)
-    return num / den
+    The time factor cancels, and the density is even in x - x0 on a domain
+    symmetric about x0, so the centroid is x0 by symmetry.
+    """
+    return float(bp.x0)
 
 
 # ---------------------------------------------------------------------------

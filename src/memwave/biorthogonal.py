@@ -337,6 +337,32 @@ def window_gram(exponents: np.ndarray, T: float) -> np.ndarray:
     return out.astype(complex)
 
 
+def _equilibrated_solve(A: np.ndarray, B: np.ndarray | None, regularization: float, gate):
+    """Solve (A + regularization I) X = B after symmetric scaling by D = 1/sqrt|diag|.
+
+    The scaling separates the family's norm spread from genuine near-dependence.
+    `gate(cond, spread)` sees the scaled condition number before any solve, so a
+    singular Gram is refused rather than ending in LinAlgError.  Two refinement
+    solves follow (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12).  B = None gives the inverse D As^-1 D, refined with the identity as
+    right-hand side.  Returns X, cond, spread and the final relative residual.
+    """
+    if regularization < 0.0:
+        raise InvalidParameterError("regularization must be nonnegative")
+    A = A + regularization * np.eye(len(A)) if regularization else A
+    d = 1.0 / np.sqrt(np.abs(np.diag(A).real))
+    As = A * d[:, None] * d[None, :]
+    cond, spread = float(np.linalg.cond(As)), float(d.max() / d.min())
+    gate(cond, spread)
+    Bs = np.eye(len(As), dtype=complex) if B is None else d * B
+    Y = np.linalg.solve(As, Bs)
+    for _ in range(2):
+        Y = Y + np.linalg.solve(As, Bs - As @ Y)
+    scale = np.linalg.norm(Bs)
+    residual = float(np.linalg.norm(Bs - As @ Y) / scale) if scale else 0.0
+    return (Y * d[:, None] * d[None, :] if B is None else d * Y), cond, spread, residual
+
+
 @dataclass(frozen=True)
 class BiorthogonalAtom:
     """One dual function theta(m, k) = sum_a coeffs[a] e^{-lambda_a t}."""
@@ -361,6 +387,8 @@ class DualFamily:
     atoms: tuple[BiorthogonalAtom, ...]
     condition_number: float
     regularization: float
+    norm_spread: float
+    refinement_residual: float
 
     def atom(self, m: int, k: int) -> BiorthogonalAtom:
         return self.atoms[self.index.index((m, k))]
@@ -383,20 +411,13 @@ def dual_family_gram(
     ||theta||^2 = Re(w G w*).  Near-coincident exponents surface as a large
     condition number rather than being silently absorbed.
     """
-    if regularization < 0.0:
-        raise InvalidParameterError("regularization must be nonnegative")
     index = family_index(N)
     lam = family_exponents(params, N, apply_resonance_convention)
     G = window_gram(lam, params.T)
-    # exponentials with opposite-sign real parts make the raw Gram span many
-    # orders of magnitude; equilibrating by the member norms separates that
-    # scale spread from genuine near-dependence in the solve
-    A = G + regularization * np.eye(len(G))
-    d = 1.0 / np.sqrt(np.abs(np.diag(A).real))
-    As = A * d[:, None] * d[None, :]
-    cond = float(np.linalg.cond(As))
-    spread = float(d.max() / d.min())
-    if regularization == 0.0:
+
+    def gate(cond: float, spread: float) -> None:
+        if regularization:
+            return
         if not np.isfinite(cond) or cond > 1e14:
             raise ConditioningError(cond)
         # the pairing certificate re-amplifies by the norm spread, so the
@@ -407,10 +428,7 @@ def dual_family_gram(
                 f"family norms span a factor {spread:.3e} with cond ~ {cond:.3e}; "
                 "the dual pairing cannot be certified at double precision "
                 "(reduce |M| * T or N, or add regularization)")
-    Ws = np.linalg.solve(As, np.eye(len(As), dtype=complex))
-    for _ in range(2):
-        Ws = Ws + Ws @ (np.eye(len(As)) - As @ Ws)
-    W = Ws * d[:, None] * d[None, :]
+    W, cond, spread, residual = _equilibrated_solve(G, None, regularization, gate)
     atoms = []
     for i, (m, k) in enumerate(index):
         w = W[i]
@@ -425,6 +443,8 @@ def dual_family_gram(
         atoms=tuple(atoms),
         condition_number=cond,
         regularization=regularization,
+        norm_spread=spread,
+        refinement_residual=residual,
     )
 
 

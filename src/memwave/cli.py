@@ -259,6 +259,8 @@ def cmd_biorth(params: ModelParams, args, report: Report) -> None:
         slopes.append(fit_loglog_slope(nvals[sel], devn[sel]))
     report.check("rescaled_sequence_constant_slope", max(slopes) <= -0.8,
                  slopes, -0.8)
+    report.check("gram_norm_spread", None, fam.norm_spread)
+    report.check("gram_refinement_residual", None, fam.refinement_residual)
     _artifact(report, args.out, "atoms.csv", lambda fh: bio.write_atoms_csv(fh, fam))
 
 
@@ -488,9 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         report = Report(name, params, args.seed)
         try:
             COMMANDS[name](params, args, report)
-        except RuntimeError as exc:
-            # domain-level refusals (conditioning, degeneracy) become failed
-            # checks with the diagnosis in the report, not tracebacks
+        except (RuntimeError, InvalidParameterError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:
+            # refusals and numerical breakdowns become failed checks with the
+            # diagnosis in the report, not tracebacks
             report.check("completed", False, type(exc).__name__, note=str(exc))
         report.write(args.out)
         statuses.append(report.status)

@@ -182,10 +182,6 @@ class ModelParams:
         return self.T > self.minimal_time
 
     @property
-    def omega_length(self) -> float:
-        return arcs_total_length(self.omega0)
-
-    @property
     def grid_size(self) -> int:
         """Alias-free grid size: smallest power of two >= 4(N+1)."""
         k = 1

@@ -25,7 +25,8 @@ from typing import IO
 
 import numpy as np
 
-from .biorthogonal import dual_family_gram, family_exponents, family_index, gauss_legendre
+from .biorthogonal import (_equilibrated_solve, dual_family_gram, family_exponents,
+                           family_index, gauss_legendre)
 from .model import (
     TWO_PI,
     FourierField,
@@ -33,7 +34,6 @@ from .model import (
     ModelParams,
     arc_exponential_integral,
     arcs_total_length,
-    shift_arcs,
     sobolev_norm,
 )
 from .spectrum import branch_roots
@@ -164,13 +164,6 @@ class ControlField:
     def support_length(self) -> float:
         return TWO_PI if self.support0 is None else arcs_total_length(self.support0)
 
-    def support_at(self, t: float) -> tuple[tuple[float, float], ...] | None:
-        if self.support0 is None:
-            return None
-        if self.frame == "moving":
-            return self.support0
-        return shift_arcs(self.support0, -self.velocity * t)
-
     def arc_integral(self, p: int) -> complex:
         """int over the reference region of e^{ipx} dx."""
         if self.support0 is None:
@@ -258,12 +251,22 @@ class ControlField:
     # -- norms ----------------------------------------------------------------
 
     def l2_norm(self) -> float:
-        """L^2 norm over (0, T) x support (frame independent by construction)."""
+        """L^2 norm over (0, T) x support (frame independent by construction).
+
+        With the weights summed into W (distinct modes x distinct rates),
+        ||u||^2 = Re sum H o (W^T Arc conj(W)), H = int_0^T e^{-(r + conj r') t} dt
+        and Arc = I(m - m'), so no atoms x atoms Gram is formed.
+        """
         if not self.atoms:
             return 0.0
         modes, rates, w = self.atom_arrays()
-        S = _representer_gram(modes, rates, self, self.T)
-        return float(np.sqrt(max(np.real(w @ S @ np.conj(w)), 0.0)))
+        mode_set, mi = np.unique(modes, return_inverse=True)
+        rate_set, ri = np.unique(rates, return_inverse=True)
+        W = np.zeros((len(mode_set), len(rate_set)), dtype=complex)
+        np.add.at(W, (mi, ri), w)
+        arc = self.arc_integrals(mode_set[:, None] - mode_set[None, :])
+        H = _halfline_time_integral(rate_set[:, None] + np.conj(rate_set)[None, :], self.T)
+        return float(np.sqrt(max(np.real(np.sum(H * (W.T @ arc @ np.conj(W)))), 0.0)))
 
     # -- wire format -------------------------------------------------------------
 
@@ -355,9 +358,9 @@ def synthesize_least_norm(
 
     The control is expanded over the constraint representers; the coefficient
     system is the representer Gram (closed-form time and arc integrals),
-    solved after symmetric norm equilibration with two rounds of iterative
-    refinement.  `verify_moment_constraints` re-checks the result by pure
-    quadrature, sharing nothing with this assembly.
+    solved by the equilibrated, refined solver shared with the dual family.
+    `verify_moment_constraints` re-checks the result by pure quadrature,
+    sharing nothing with this assembly.
     """
     if not params.supercritical_time:
         warnings.warn(
@@ -372,19 +375,11 @@ def synthesize_least_norm(
     rhs = np.array([md.rhs[(n, j)] for n, j in index] + [0.0] * len(index),
                    dtype=complex)
 
-    A = S.T.copy()
-    if regularization:
-        A = A + regularization * np.eye(len(A))
-    d = 1.0 / np.sqrt(np.abs(np.diag(A).real))
-    As = A * d[:, None] * d[None, :]
-    cond = float(np.linalg.cond(As))
-    if not np.isfinite(cond) or cond > 1e15:
-        raise SynthesisConditioningError(cond, N)
-    y = np.linalg.solve(As, d * rhs)
-    for _ in range(2):
-        y = y + np.linalg.solve(As, d * rhs - As @ y)
-    kappa = d * y
+    def gate(cond: float, spread: float) -> None:
+        if not np.isfinite(cond) or cond > 1e15:
+            raise SynthesisConditioningError(cond, N)
 
+    kappa, *_ = _equilibrated_solve(S.T.copy(), rhs, regularization, gate)
     atoms = []
     for k, (kind, n, j) in enumerate(labels):
         if kappa[k] == 0.0:

@@ -152,3 +152,66 @@ class TestQuadratureCrossChecks:
         bp = BeamParams(epsilon=eps, x0=1.0)
         expected = math.sqrt(1.0 + eps**1.5 + eps**2)
         assert beam_h1_norm(bp) == pytest.approx(expected, rel=1e-10)
+
+
+class TestClosedFormsAgainstQuadrature:
+    """The moment closed forms against quad of the pointwise integrands."""
+
+    @staticmethod
+    def l2sq(bp: BeamParams, weight, a: float, b: float) -> float:
+        c2 = normalization_constant(bp) ** 2
+        val, _ = quad(lambda x: c2 * weight(x) * math.exp(
+            -2.0 * (x - bp.x0) ** 2 / math.sqrt(bp.epsilon)), a, b,
+            limit=400, epsabs=0.0, epsrel=1e-13)
+        return val
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("eps", EPS_SWEEP)
+    def test_every_integral(self, eps, x0):
+        bp = BeamParams(epsilon=eps, x0=x0)
+        kappa = bp.time_rate
+        ratio = bp.M**3 * eps**2 / kappa
+        lo, hi = bp.domain
+        thr = eps ** 0.125
+
+        def whole(weight):
+            # split at the peak so both halves see the Gaussian's bulk
+            return self.l2sq(bp, weight, lo, x0) + self.l2sq(bp, weight, x0, hi)
+
+        def mod2(x):
+            d_re = 4.0 * (x - x0) ** 2 / eps - 2.0 / math.sqrt(eps) - 1.0 / eps**2
+            d_im = -4.0 * (x - x0) / (eps * math.sqrt(eps))
+            return (kappa**2 + ratio * d_re) ** 2 + (ratio * d_im) ** 2
+
+        def energy(x):
+            return 0.5 * (kappa**2 + 1.0 / eps**2 + 4.0 * (x - x0) ** 2 / eps)
+
+        h1 = math.sqrt(whole(lambda x: 1.0)
+                       + whole(lambda x: 1.0 / eps**2 + 4.0 * (x - x0) ** 2 / eps))
+        base = math.sqrt(whole(mod2))
+        residual = max(base * math.exp(kappa * t) for t in np.linspace(0.0, 1.0, 9))
+        E0 = whole(energy)
+        off = self.l2sq(bp, energy, x0 + thr, hi) + self.l2sq(bp, energy, lo, x0 - thr)
+
+        d = beam_energy_report(bp)
+        assert beam_h1_norm(bp) == pytest.approx(h1, rel=1e-10)
+        assert beam_residual_norm(bp) == pytest.approx(residual, rel=1e-10)
+        assert beam_residual_norm(bp, times=[0.0]) == pytest.approx(base, rel=1e-10)
+        assert d.h1_norm == pytest.approx(h1, rel=1e-10)
+        assert d.residual_norm == pytest.approx(residual, rel=1e-10)
+        assert d.E0 == pytest.approx(E0, rel=1e-10)
+        assert d.offray_energy == pytest.approx(off, rel=1e-10)
+        assert d.offray_ratio == pytest.approx(off / E0, rel=1e-10)
+        assert d.offray_bound == pytest.approx(math.exp(-2.0 * eps ** -0.25), rel=1e-15)
+        assert d.epsilon == eps
+
+    def test_centroid_is_the_first_moment(self):
+        bp = BeamParams(epsilon=0.02, x0=1.0)
+        lo, hi = bp.domain
+
+        def energy(x):
+            return 0.5 * (bp.time_rate**2 + 1.0 / 0.02**2 + 4.0 * (x - 1.0) ** 2 / 0.02)
+
+        num = self.l2sq(bp, lambda x: x * energy(x), lo, hi)
+        den = self.l2sq(bp, energy, lo, hi)
+        assert energy_centroid(bp, 0.0) == pytest.approx(num / den, rel=1e-12)

@@ -252,6 +252,24 @@ class TestDualFamily:
         dev = verify_biorthogonality(fam)
         assert 1e-12 < dev < 1e-2
 
+    @pytest.mark.parametrize("M, c, N", [(1.0, 2.0, 6), (1.0, 2.0, 8), (-0.8, -2.5, 6)])
+    def test_refinement_matches_newton_schulz(self, M, c, N):
+        # reference: the inverse refined by two Newton-Schulz steps
+        p = ModelParams(M=M, c=c, T=12.0, omega0=((0.0, np.pi / 2),), N=N)
+        fam = dual_family_gram(p, N)
+        G = fam.gram
+        d = 1.0 / np.sqrt(np.abs(np.diag(G).real))
+        As = G * d[:, None] * d[None, :]
+        eye = np.eye(len(As))
+        Ws = np.linalg.solve(As, eye.astype(complex))
+        for _ in range(2):
+            Ws = Ws + Ws @ (eye - As @ Ws)
+        W = Ws * d[:, None] * d[None, :]
+        dev = np.abs(fam.coefficient_matrix - W).max() / np.abs(W).max()
+        assert dev <= 1e-12
+        assert fam.norm_spread == pytest.approx(d.max() / d.min(), rel=1e-15)
+        assert fam.refinement_residual <= 1e-12
+
     def test_csv(self, params_c2):
         fam = dual_family_gram(params_c2, 3)
         buf = io.StringIO()

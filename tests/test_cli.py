@@ -64,6 +64,30 @@ class TestCLI:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "report_control.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("biorth", "--reg", "-1"), ("biorth", "--n-prod", "10"),
+        ("control", "--Nt", "0"), ("simulate", "--Nt", "0"),
+        ("beam", "--eps-sweep", "0.01"), ("control", "--reg", "-1")])
+    def test_refusal_inside_command_is_reported(self, tmp_path, argv):
+        res = run_cli(*argv, "--N", "4", "--out", str(tmp_path))
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
+        payload = json.loads((tmp_path / f"report_{argv[0]}.json").read_text())
+        assert payload["status"] == "fail"
+        (completed,) = [c for c in payload["checks"] if c["name"] == "completed"]
+        assert completed["passed"] is False
+        assert completed["value"] == "InvalidParameterError" and completed["note"]
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # every integral in src/ is a closed form or Gauss-Legendre, so no
+        # layer module pays for importing scipy.integrate
+        code = ("import sys, memwave.model, memwave.spectrum, memwave.gaps, "
+                "memwave.biorthogonal, memwave.moment_control, memwave.simulator, "
+                "memwave.beam, memwave.cli; print('scipy.integrate' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_subcritical_control_warns(self, tmp_path):
         res = run_cli("control", "--T", "5", "--N", "4", "--out", str(tmp_path))
         assert res.returncode == 2

@@ -27,6 +27,8 @@ from memwave.moment_control import (
     to_physical_frame,
     verify_moment_constraints,
     write_control_grid_csv,
+    _assemble_constraints,
+    _representer_gram,
 )
 
 
@@ -116,6 +118,62 @@ class TestLeastNormSynthesis:
                         FourierField.zero(2), p, 2)
         with pytest.warns(UserWarning, match="threshold"):
             synthesize_least_norm(p, md)
+
+
+def inline_least_norm_atoms(p: ModelParams, md: MomentData) -> tuple:
+    """Reference: the least-norm equilibrate -> solve -> refine, written out inline."""
+    index, modes, rates, labels = _assemble_constraints(p, md.N)
+    carrier = ControlField(frame="moving", atoms=(), support0=p.omega0, velocity=p.c, T=p.T)
+    S = _representer_gram(modes, rates, carrier, p.T)
+    rhs = np.array([md.rhs[key] for key in index] + [0.0] * len(index), dtype=complex)
+    A = S.T.copy()
+    d = 1.0 / np.sqrt(np.abs(np.diag(A).real))
+    As = A * d[:, None] * d[None, :]
+    y = np.linalg.solve(As, d * rhs)
+    for _ in range(2):
+        y = y + np.linalg.solve(As, d * rhs - As @ y)
+    kappa = d * y
+    return tuple(
+        ControlAtom(mode=n if kind == "mode" else None, rate=complex(rates[k]),
+                    weight=complex(kappa[k]))
+        for k, (kind, n, j) in enumerate(labels) if kappa[k] != 0.0)
+
+
+class TestSharedSolver:
+    @pytest.mark.parametrize("M, c, omega0", [
+        (1.0, 2.0, ((0.0, np.pi / 2),)), (-0.8, -2.5, ((0.3, 1.5),))])
+    def test_least_norm_atoms_bit_identical_to_inline_solve(self, M, c, omega0):
+        p = ModelParams(M=M, c=c, T=12.0, omega0=omega0, N=6)
+        y0 = FourierField.from_coeffs({1: 0.1, -1: 0.1, 2: 0.05, -2: 0.05}, 6)
+        md = moment_rhs(y0, FourierField.zero(6), p, 6)
+        assert synthesize_least_norm(p, md).atoms == inline_least_norm_atoms(p, md)
+
+
+class TestL2Norm:
+    @staticmethod
+    def dense_norm(u: ControlField) -> float:
+        """Reference: w S conj(w) with the atoms x atoms representer Gram S."""
+        modes, rates, w = u.atom_arrays()
+        S = _representer_gram(modes, rates, u, u.T)
+        return float(np.sqrt(np.real(w @ S @ np.conj(w))))
+
+    @pytest.fixture(scope="class")
+    def setup_n8(self):
+        p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, np.pi / 2),), N=8)
+        y0 = FourierField.from_coeffs({1: 0.1, -1: 0.1, 2: 0.05, -2: 0.05}, 8)
+        return p, moment_rhs(y0, FourierField.zero(8), p, 8)
+
+    def test_least_norm_control(self, setup_n8):
+        p, md = setup_n8
+        u = mean_zero_correction(synthesize_least_norm(p, md))
+        assert u.l2_norm() == pytest.approx(self.dense_norm(u), rel=1e-10)
+
+    def test_separated_control(self, setup_n8):
+        p, md = setup_n8
+        b = FourierField.from_coeffs({n: 1.0 / (1 + abs(n)) for n in range(-8, 9) if n}, 8)
+        _, u = synthesize_separated(p, md, b)
+        assert len(u.atoms) == 16 * 48
+        assert u.l2_norm() == pytest.approx(self.dense_norm(u), rel=1e-10)
 
 
 class TestMeanZeroCorrection:
