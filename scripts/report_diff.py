@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Compare the JSON reports of two `memwave ... --out <dir>` runs value by value.
+"""Compare the JSON reports and CSV sidecars of two `memwave ... --out <dir>` runs.
 
     python scripts/report_diff.py OLD_DIR NEW_DIR [--rtol 0]
 
 Every `*.json` file in either directory is walked leaf by leaf; the
 `timestamp` field is ignored, and list entries that carry a `name` (the
-checks of a report) are matched by that name rather than by position.  One
-line is printed per leaf that differs: file, path, old value, new value and
-the relative change of numbers.  Numbers within `--rtol` of each other
-(relative to the larger magnitude) count as equal; the default 0 reports
-every bit that moved.  Exit status: 0 when nothing differs, 1 otherwise.
+checks of a report) are matched by that name rather than by position.
+Every `*.csv` file is compared cell by cell, rows by position and columns by
+header name, with cells that parse as numbers compared as numbers.  One line
+is printed per leaf or cell that differs: file, path (`row[i].column` for a
+cell), old value, new value and the relative change of numbers.  Numbers
+within `--rtol` of each other (relative to the larger magnitude) count as
+equal; the default 0 reports every bit that moved.  Exit status: 0 when
+nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -71,9 +75,24 @@ def diff(old, new, path: str, rtol: float, out: list) -> None:
         out.append((path, old, new))
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    """Data rows as {column: cell}, with cells that parse as numbers as floats."""
+    with path.open(newline="") as fh:
+        header, *body = list(csv.reader(fh)) or [[]]
+
+    def cell(v: str):
+        try:
+            return float(v)
+        except ValueError:
+            return v
+
+    return [{col: cell(v) for col, v in zip(header, row)} for row in body]
+
+
 def compare_dirs(old_dir: Path, new_dir: Path, rtol: float) -> list[tuple[str, str, object, object]]:
     rows = []
-    names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*.json")})
+    names = sorted({p.name for d in (old_dir, new_dir)
+                    for pattern in ("*.json", "*.csv") for p in d.glob(pattern)})
     for name in names:
         a, b = old_dir / name, new_dir / name
         if not a.exists() or not b.exists():
@@ -81,7 +100,13 @@ def compare_dirs(old_dir: Path, new_dir: Path, rtol: float) -> list[tuple[str, s
                          "<absent>" if not b.exists() else "<file>"))
             continue
         found: list = []
-        diff(json.loads(a.read_text()), json.loads(b.read_text()), "", rtol, found)
+        if name.endswith(".csv"):
+            ra, rb = _csv_rows(a), _csv_rows(b)
+            for i in range(max(len(ra), len(rb))):
+                diff(ra[i] if i < len(ra) else "<absent>", rb[i] if i < len(rb) else "<absent>",
+                     f"row[{i}]", rtol, found)
+        else:
+            diff(json.loads(a.read_text()), json.loads(b.read_text()), "", rtol, found)
         rows += [(name, path, x, y) for path, x, y in found]
     return rows
 

@@ -23,16 +23,13 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
-from scipy.special import polygamma
 
 from .model import InvalidParameterError, ModelParams
-from .spectrum import detect_resonance, shifted_spectrum_arrays, spectrum_modes
+from .spectrum import detect_resonance, shifted_spectrum_arrays
 
 __all__ = [
-    "NuSequence",
     "ProductValue",
     "ProductEvaluator",
-    "BiorthogonalAtom",
     "DualFamily",
     "ConditioningError",
     "DoubleZeroError",
@@ -88,43 +85,8 @@ def family_exponents(
 
 
 # ---------------------------------------------------------------------------
-# the rescaled sequences and the infinite product
+# the infinite product
 # ---------------------------------------------------------------------------
-
-_BRANCH_SCALES = {1: lambda c: c, 2: lambda c: c + 1.0, 3: lambda c: c - 1.0}
-_BRANCH_CONSTANTS = {
-    1: lambda M, c: M / c,
-    2: lambda M, c: -M / (2.0 * (c + 1.0)),
-    3: lambda M, c: -M / (2.0 * (c - 1.0)),
-}
-
-
-@dataclass(frozen=True)
-class NuSequence:
-    """Branch exponents rescaled by c_j in {c, c+1, c-1}; nu(-n) = conj(nu(n)).
-
-    nu(n) - i n approaches the branch constant (M/c, -M/2(c+1), -M/2(c-1))
-    with an O(1/n) remainder.
-    """
-
-    j: int
-    scale: float
-    modes: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_params(cls, params: ModelParams, j: int, N: int) -> "NuSequence":
-        if j not in (1, 2, 3):
-            raise InvalidParameterError("branch must be 1, 2 or 3")
-        scale = _BRANCH_SCALES[j](params.c)
-        vp = shifted_spectrum_arrays(params, N)[j][N:] / scale
-        values = np.concatenate([np.conj(vp)[::-1], vp])
-        return cls(j=j, scale=scale, modes=spectrum_modes(N), values=values)
-
-
-def branch_limit_constant(params: ModelParams, j: int) -> float:
-    return _BRANCH_CONSTANTS[j](params.M, params.c)
-
 
 @dataclass(frozen=True)
 class ProductValue:
@@ -139,11 +101,15 @@ class ProductEvaluator:
 
     Factors are grouped into the conjugate pairs (lambda(n,1), lambda(-n,1)),
     (lambda(n,2), lambda(-n,3)), (lambda(n,3), lambda(-n,2)) for n >= 1, which
-    makes the partial products absolutely convergent.  Evaluation accumulates
-    principal logs, so products of tens of thousands of factors neither
-    overflow nor lose the phase.  Each pair branch's log sum comes from real
-    kernels (`_log_sum`): log|f| through log1p near |f| = 1, the phase from
-    atan2, which is several times faster than the complex log.
+    makes the partial products absolutely convergent.  `lam[p, 0, n-1]` and
+    `lam[p, 1, n-1]` are the two members of pair branch p = 0, 1, 2 at mode n,
+    `roots = -i conj(lam)` are the zeros, and `scales = (c, c+1, c-1)` rescale
+    pair branch p to the exponents nu = lam[p, 0] / scales[p], for which
+    nu(n) - i n tends to a constant.  Evaluation accumulates principal logs,
+    so products of tens of thousands of factors neither overflow nor lose the
+    phase.  Each pair branch's log sum comes from real kernels (`_log_sum`):
+    log|f| through log1p near |f| = 1, the phase from atan2, which is several
+    times faster than the complex log.
     """
 
     def __init__(
@@ -155,52 +121,39 @@ class ProductEvaluator:
         if n_prod < 100:
             raise InvalidParameterError("n_prod must be at least 100")
         self.params = params
-        self.n_prod = int(n_prod)
-        N = self.n_prod
+        self.n_prod = N = int(n_prod)
         lam = shifted_spectrum_arrays(params, N, apply_resonance_convention)
-        # pair members: A carries the positive mode n, B its partner at -n,
-        # with lam_b[2] = conj(lam_a[2]) and lam_b[3] = conj(lam_a[3]) unless
-        # the resonance convention moved lambda(-n_c, 2)
-        self.lam_a = {p: lam[p][N:] for p in (1, 2, 3)}
-        self.lam_b = {p: lam[q][N - 1::-1] for p, q in ((1, 1), (2, 3), (3, 2))}
-        self.resonance = detect_resonance(params, N)
-        self.resonance_adjusted = apply_resonance_convention and self.resonance is not None
-        # zero locations z = -i conj(lambda)
-        self.root_a = {p: -1j * np.conj(self.lam_a[p]) for p in (1, 2, 3)}
-        self.root_b = {p: -1j * np.conj(self.lam_b[p]) for p in (1, 2, 3)}
-        self._tail_coeffs = self._prepare_tail()
+        # member 1 is conj(member 0) on every pair branch unless the resonance
+        # convention moved lambda(-n_c, 2)
+        self.lam = np.array([[lam[p][N:], lam[q][N - 1::-1]] for p, q in ((1, 1), (2, 3), (3, 2))])
+        self.resonance_adjusted = (apply_resonance_convention
+                                   and detect_resonance(params, N) is not None)
+        self.roots = -1j * np.conj(self.lam)
+        self.scales = np.array([params.c, params.c + 1.0, params.c - 1.0])
+        self._scaled_roots = self.roots / self.scales[:, None, None]
+        self._prepare_tail()
 
     # -- tail ---------------------------------------------------------------
 
-    def _prepare_tail(self) -> dict:
+    def _prepare_tail(self) -> None:
+        """Coefficients of the second-order series of the factors beyond n_prod.
+
+        The sums over n > N of 1/n^2 and 1/n^4 are psi'(N+1) and psi'''(N+1)/6.
+        """
         M, c = self.params.M, self.params.c
         N = self.n_prod
-        psi1 = float(polygamma(1, N + 1))
-        psi3_over6 = float(polygamma(3, N + 1)) / 6.0
-        scales = {1: c, 2: c + 1.0, 3: c - 1.0}
-        offsets = {
-            1: M * M,
-            2: M * M * (3.0 * c + 4.0) / 4.0,
-            3: M * M * (4.0 - 3.0 * c) / 4.0,
-        }
-        re_parts = {1: M, 2: -M / 2.0, 3: -M / 2.0}
-        t1, t2, re = {}, {}, {}
-        for p in (1, 2, 3):
-            a2 = scales[p] ** 2
-            q = offsets[p] / a2
-            t1[p] = (psi1 - q * psi3_over6) / a2
-            t2[p] = psi3_over6 / (a2 * a2)
-            re[p] = re_parts[p]
-        err_scale = psi1 * sum(1.0 / scales[p] ** 2 for p in (1, 2, 3))
-        return {"t1": t1, "t2": t2, "re": re, "err_scale": err_scale}
+        psi1, psi3 = _psi1_psi3(N + 1.0)
+        psi3_over6 = psi3 / 6.0
+        a2 = self.scales ** 2
+        q = np.array([M * M, M * M * (3.0 * c + 4.0) / 4.0, M * M * (4.0 - 3.0 * c) / 4.0]) / a2
+        self._tail_t1 = (psi1 - q * psi3_over6) / a2
+        self._tail_t2 = psi3_over6 / (a2 * a2)
+        self._tail_re = np.array([M, -M / 2.0, -M / 2.0])
+        self._err_scale = psi1 * sum(1.0 / a2)
 
     def _tail_log(self, z: complex) -> complex:
-        tc = self._tail_coeffs
-        total = 0.0 + 0.0j
-        for p in (1, 2, 3):
-            u_num = -2j * tc["re"][p] * z - z * z
-            total += u_num * tc["t1"][p] - 0.5 * u_num * u_num * tc["t2"][p]
-        return total
+        u = -2j * self._tail_re * z - z * z
+        return complex(sum(u * self._tail_t1 - 0.5 * u * u * self._tail_t2))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -208,62 +161,45 @@ class ProductEvaluator:
         """P(z) with tail correction; log_abs stays finite when value overflows."""
         z = complex(z)
         tail = self._tail_log(z)
-        err = abs(z) ** 2 * self._tail_coeffs["err_scale"]
-        if z == 0.0:
+        err = abs(z) ** 2 * self._err_scale
+        # per pair branch, so no (3, 2, n_prod) temporary is formed
+        factors = [(1.0 - z / a) * (1.0 - z / b) for a, b in self.roots]
+        if z == 0.0 or any(np.any(f == 0.0) for f in factors):
             return ProductValue(0.0j, -math.inf, tail, err)
-        log_sum = 3.0 * np.log(complex(z)) + tail
-        zero_hit = False
-        for p in (1, 2, 3):
-            factors = (1.0 - z / self.root_a[p]) * (1.0 - z / self.root_b[p])
-            if np.any(factors == 0.0):
-                zero_hit = True
-                continue
-            log_sum += _log_sum(factors)
-        if zero_hit:
-            return ProductValue(0.0j, -math.inf, tail, err)
+        log_sum = 3.0 * np.log(z) + tail
+        for f in factors:
+            log_sum += _log_sum(f)
         log_abs = float(log_sum.real)
         value = complex(np.exp(log_sum)) if log_abs < 700.0 else complex(np.inf, np.inf)
         return ProductValue(value, log_abs, tail, err)
 
-    def evaluate_branch(self, j: int, w: complex) -> complex:
-        """Sine-type component P_j(w) = w prod (1 + w/(i conj(nu(n, j)))).
-
-        The rescaled exponents nu are the stored pair members divided by the
-        branch scale, so P(z) = prod_j c_j P_j(z / c_j) holds exactly.
-        """
-        c_j = _BRANCH_SCALES[j](self.params.c)
-        ra = self.root_a[j] / c_j
-        rb = self.root_b[j] / c_j
-        w = complex(w)
-        if w == 0.0:
-            return 0.0j
-        log_sum = np.log(complex(w)) + _log_sum((1.0 - w / ra) * (1.0 - w / rb))
-        return complex(np.exp(log_sum))
-
     def evaluate_factored(self, z: complex) -> complex:
-        """c1 c2 c3 P_1(z/c1) P_2(z/c2) P_3(z/c3); agrees with `evaluate`."""
-        c = self.params.c
+        """c1 c2 c3 P_1(z/c1) P_2(z/c2) P_3(z/c3); agrees with `evaluate`.
+
+        P_j(w) = w prod (1 + w/(i conj(nu(n, j)))) is the sine-type component
+        over the rescaled pair branch j, so P(z) = prod_j c_j P_j(z / c_j)
+        holds exactly.
+        """
         out = 1.0 + 0.0j
-        for j in (1, 2, 3):
-            c_j = _BRANCH_SCALES[j](c)
-            out *= c_j * self.evaluate_branch(j, z / c_j)
+        for c_j, roots in zip(self.scales.tolist(), self._scaled_roots):
+            w = z / c_j
+            f = 1.0 - w / roots
+            P_j = complex(np.exp(np.log(w) + _log_sum(f[0] * f[1]))) if w != 0.0 else 0.0j
+            out *= c_j * P_j
         return out * complex(np.exp(self._tail_log(z)))
 
     # -- zeros and the derivative ---------------------------------------------
 
-    def _locate(self, m: int, j: int) -> tuple[int, int, str]:
-        """Map a family label (m, j) to (pair branch, array index, member)."""
+    def _locate(self, m: int, j: int) -> tuple[int, int, int]:
+        """Map a family label (m, j) to its (pair branch, member, index) in `lam`."""
         if m == 0 or abs(m) > self.n_prod or j not in (1, 2, 3):
             raise InvalidParameterError(f"label ({m}, {j}) outside the truncated family")
         if m > 0:
-            return j, m - 1, "a"
-        partner = {1: 1, 3: 2, 2: 3}[j]
-        return partner, -m - 1, "b"
+            return j - 1, 0, m - 1
+        return (0, 2, 1)[j - 1], 1, -m - 1
 
     def zero_location(self, m: int, j: int) -> complex:
-        p, i, member = self._locate(m, j)
-        roots = self.root_a if member == "a" else self.root_b
-        return complex(roots[p][i])
+        return complex(self.roots[self._locate(m, j)])
 
     def derivative_at_zero(self, m: int, j: int) -> complex:
         """P'(-i conj(lambda(m, j))) as the product of the surviving factors.
@@ -272,27 +208,38 @@ class ProductEvaluator:
         differentiated, every other factor is evaluated at the zero.  Raises
         DoubleZeroError when another exponent collides with this one.
         """
-        p0, i0, member0 = self._locate(m, j)
-        z0 = self.zero_location(m, j)
-        root0 = self.root_a[p0][i0] if member0 == "a" else self.root_b[p0][i0]
-        log_sum = 3.0 * np.log(complex(z0)) + self._tail_log(z0) - np.log(root0 * (-1.0))
-        for p in (1, 2, 3):
-            ra, rb = self.root_a[p], self.root_b[p]
-            fa = 1.0 - z0 / ra
-            fb = 1.0 - z0 / rb
+        p0, member0, i0 = self._locate(m, j)
+        root0 = self.roots[p0, member0, i0]
+        z0 = complex(root0)
+        log_sum = 3.0 * np.log(z0) + self._tail_log(z0) - np.log(root0 * (-1.0))
+        for p, roots in enumerate(self.roots):
+            f = 1.0 - z0 / roots
             if p == p0:
-                if member0 == "a":
-                    fa[i0] = 1.0
-                else:
-                    fb[i0] = 1.0
-            both = fa * fb
+                f[member0, i0] = 1.0
+            both = f[0] * f[1]
             if np.any(both == 0.0):
                 k = int(np.nonzero(both == 0.0)[0][0])
                 raise DoubleZeroError(
                     f"exponent collision: zero of ({m},{j}) coincides with pair "
-                    f"(n={k + 1}, branch {p}); apply the resonance splitting first")
+                    f"(n={k + 1}, branch {p + 1}); apply the resonance splitting first")
             log_sum += _log_sum(both)
         return complex(np.exp(log_sum))
+
+
+def _psi1_psi3(x: float) -> tuple[float, float]:
+    """psi'(x) and psi'''(x) from their asymptotic series, for x >= 100.
+
+    psi'(x) = 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) and
+    psi'''(x) = 2/x^3 + 3/x^4 + sum_k B_2k (2k+1)(2k+2) / x^(2k+3)
+    (Abramowitz & Stegun 6.4.12, 6.4.14), summed through B_8; the first
+    omitted terms are below 1e-19 relative at x = 100.  The series is nested
+    in 1/x with the leading power divided out last, so each value is within
+    about one rounding of the exact one.
+    """
+    t = 1.0 / (x * x)
+    psi1 = (1.0 + (0.5 + (1.0 / 6.0 - t * (1.0 / 30.0 - t * (1.0 / 42.0 - t / 30.0))) / x) / x) / x
+    psi3 = (2.0 + (3.0 + (2.0 - t * (1.0 - t * (4.0 / 3.0 - 3.0 * t))) / x) / x) / (x * x * x)
+    return psi1, psi3
 
 
 def _log_sum(f: np.ndarray) -> complex:
@@ -364,38 +311,23 @@ def _equilibrated_solve(A: np.ndarray, B: np.ndarray | None, regularization: flo
 
 
 @dataclass(frozen=True)
-class BiorthogonalAtom:
-    """One dual function theta(m, k) = sum_a coeffs[a] e^{-lambda_a t}."""
-
-    m: int
-    k: int
-    coeffs: np.ndarray
-    norm: float
-
-    def time_samples(self, t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.outer(t, exponents)) @ self.coeffs
-
-
-@dataclass(frozen=True)
 class DualFamily:
+    """Row i of `coefficients` gives theta(index[i]) = sum_a coefficients[i, a] e^{-exponents[a] t}.
+
+    `norms[i]` is the window norm of theta(index[i]).
+    """
+
     params: ModelParams
     N: int
     index: tuple[tuple[int, int], ...]
     exponents: np.ndarray
     gram: np.ndarray
-    atoms: tuple[BiorthogonalAtom, ...]
+    coefficients: np.ndarray
+    norms: np.ndarray
     condition_number: float
     regularization: float
     norm_spread: float
     refinement_residual: float
-
-    def atom(self, m: int, k: int) -> BiorthogonalAtom:
-        return self.atoms[self.index.index((m, k))]
-
-    @property
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.vstack([a.coeffs for a in self.atoms])
 
 
 def dual_family_gram(
@@ -411,7 +343,6 @@ def dual_family_gram(
     ||theta||^2 = Re(w G w*).  Near-coincident exponents surface as a large
     condition number rather than being silently absorbed.
     """
-    index = family_index(N)
     lam = family_exponents(params, N, apply_resonance_convention)
     G = window_gram(lam, params.T)
 
@@ -429,18 +360,15 @@ def dual_family_gram(
                 "the dual pairing cannot be certified at double precision "
                 "(reduce |M| * T or N, or add regularization)")
     W, cond, spread, residual = _equilibrated_solve(G, None, regularization, gate)
-    atoms = []
-    for i, (m, k) in enumerate(index):
-        w = W[i]
-        norm2 = float(np.real(w @ G @ np.conj(w)))
-        atoms.append(BiorthogonalAtom(m=m, k=k, coeffs=w.copy(), norm=math.sqrt(max(norm2, 0.0))))
+    norms = np.array([math.sqrt(max(float(np.real(w @ G @ np.conj(w))), 0.0)) for w in W])
     return DualFamily(
         params=params,
         N=N,
-        index=index,
+        index=family_index(N),
         exponents=lam,
         gram=G,
-        atoms=tuple(atoms),
+        coefficients=W,
+        norms=norms,
         condition_number=cond,
         regularization=regularization,
         norm_spread=spread,
@@ -467,7 +395,7 @@ def verify_biorthogonality(family: DualFamily, n_quad: int = 800) -> float:
     t = 0.5 * T * nodes
     w = 0.5 * T * weights
     E = np.exp(-np.outer(t, family.exponents))           # exp samples  (q, a)
-    theta = E @ family.coefficient_matrix.T              # atom samples (q, m)
+    theta = E @ family.coefficients.T                    # atom samples (q, m)
     pairing = (theta * w[:, None]).T @ np.conj(E)        # (m, a)
     return float(np.abs(pairing - np.eye(len(family.index))).max())
 
@@ -500,6 +428,5 @@ def summation_inequality_check(
 def write_atoms_csv(stream: IO[str], family: DualFamily) -> None:
     writer = csv.writer(stream)
     writer.writerow(["m", "k", "norm", "condition_number"])
-    for atom in family.atoms:
-        writer.writerow([atom.m, atom.k, f"{atom.norm:.17g}",
-                         f"{family.condition_number:.17g}"])
+    for (m, k), norm in zip(family.index, family.norms):
+        writer.writerow([m, k, f"{norm:.17g}", f"{family.condition_number:.17g}"])

@@ -305,37 +305,6 @@ class FourierField:
         n = self.modes.reshape(-1, 1)
         return (self.values.reshape(-1, 1) * np.exp(1j * n * x.reshape(1, -1))).sum(axis=0).reshape(x.shape)
 
-    def sample_grid(self, K: int | None = None) -> np.ndarray:
-        """Sample on the uniform grid x_k = 2*pi*k/K (K >= 2N+2 for exactness)."""
-        K = K if K is not None else 4 * (self.N + 1)
-        spec = np.zeros(K, dtype=complex)
-        for n, v in self.items():
-            spec[n % K] += v
-        return np.fft.ifft(spec) * K
-
-    @classmethod
-    def project_grid(cls, samples: np.ndarray, N: int) -> "FourierField":
-        """Recover coefficients |n| <= N from samples on x_k = 2*pi*k/K."""
-        K = len(samples)
-        if K < 2 * N + 2:
-            raise DimensionError(f"need at least {2 * N + 2} samples for N={N}")
-        spec = np.fft.fft(np.asarray(samples, dtype=complex)) / K
-        vals = np.zeros(2 * N + 1, dtype=complex)
-        for n in range(-N, N + 1):
-            if n != 0:
-                vals[n + N] = spec[n % K]
-        return cls(N, vals)
-
-    # -- wire format -------------------------------------------------------------
-
-    def to_pairs(self) -> list[list[float]]:
-        """Serialise as [[n, re, im], ...] over nonzero stored modes."""
-        return [[n, v.real, v.imag] for n, v in self.items() if v != 0.0]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]], N: int) -> "FourierField":
-        return cls.from_coeffs({int(n): complex(re, im) for n, re, im in pairs}, N)
-
 
 def sobolev_norm(f: FourierField, sigma: float) -> float:
     """Coefficient form (sum_{n != 0} |n|^{2 sigma} |f_n|^2)^{1/2}.

@@ -83,18 +83,12 @@ class FrameError(ValueError):
 class MomentData:
     """Right-hand sides of the truncated moment problem.
 
-    `rhs` maps (n, j) to -2 pi (conj(mu(|n|,j)) y0_n + y1_n); `zero_rows`
-    lists the companion mean-compatibility rows whose right side vanishes.
+    `rhs` maps (n, j) to -2 pi (conj(mu(|n|,j)) y0_n + y1_n).
     """
 
     N: int
     rhs: dict[tuple[int, int], complex]
-    zero_rows: tuple[tuple[int, int], ...]
     data_norms: tuple[float, float]  # (H^3 of y0, H^2 of y1)
-
-    @property
-    def all_zero(self) -> bool:
-        return all(v == 0.0 for v in self.rhs.values())
 
 
 def _require_truncated(f: FourierField, N: int, name: str) -> None:
@@ -116,11 +110,9 @@ def moment_rhs(y0: FourierField, y1: FourierField, params: ModelParams, N: int) 
             for j in (1, 2, 3):
                 mu = roots[absn - 1, j - 1]
                 rhs[(n, j)] = -TWO_PI * (np.conj(mu) * y0.coeff(n) + y1.coeff(n))
-    zero_rows = tuple((n, j) for (n, j) in family_index(N))
     return MomentData(
         N=N,
         rhs=rhs,
-        zero_rows=zero_rows,
         data_norms=(sobolev_norm(y0, 3.0), sobolev_norm(y1, 2.0)),
     )
 
@@ -467,7 +459,7 @@ def synthesize_separated(
          for i, key in enumerate(family.index)],
         dtype=complex)
     # v(t) = sum_a V_a e^{-lambda_a (t - T/2)}
-    V = family.coefficient_matrix.T @ d
+    V = family.coefficients.T @ d
     profile = TimeProfile(atoms=tuple(
         (complex(lam[a]), complex(V[a] * np.exp(lam[a] * params.T / 2.0)))
         for a in range(len(lam)) if V[a] != 0.0

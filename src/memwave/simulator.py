@@ -329,7 +329,7 @@ def simulate_adjoint_exact(
     term = np.stack([terminal.first.values[idx],
                      terminal.second.values[idx],
                      terminal.third.values[idx]], axis=1)
-    conds = np.array([np.linalg.cond(P[i]) for i in range(len(modes))])
+    conds = np.linalg.cond(P)
     if np.any(~np.isfinite(conds)) or conds.max() > 1e13:
         raise BasisDegeneracyError(
             "eigenvector frame numerically singular; split the resonant "

@@ -8,9 +8,8 @@ import pytest
 from memwave.biorthogonal import (
     ConditioningError,
     DoubleZeroError,
-    NuSequence,
     ProductEvaluator,
-    branch_limit_constant,
+    _psi1_psi3,
     dual_family_gram,
     family_exponents,
     family_index,
@@ -31,29 +30,46 @@ def evaluator():
 
 
 class TestNuSequences:
-    def test_conjugate_symmetry(self, params_c2):
-        for j in (1, 2, 3):
-            nu = NuSequence.from_params(params_c2, j, 40)
+    """The rescaled exponents nu = lam / scales of the evaluator's pair table."""
+
+    def test_conjugate_symmetry(self, evaluator):
+        _, ev = evaluator
+        # member 1 of each pair branch carries the partner at -n of member 0
+        nu_pos = ev.lam[:, 0] / ev.scales[:, None]
+        nu_neg = ev.lam[:, 1] / ev.scales[:, None]
+        for j in range(3):
             for n in range(1, 41):
-                vp = nu.values[list(nu.modes).index(n)]
-                vm = nu.values[list(nu.modes).index(-n)]
-                assert vm == pytest.approx(np.conj(vp))
+                assert nu_neg[j, n - 1] == pytest.approx(np.conj(nu_pos[j, n - 1]))
 
-    def test_limit_constants(self, params_c2):
-        M, c = params_c2.M, params_c2.c
-        assert branch_limit_constant(params_c2, 1) == pytest.approx(M / c)
-        assert branch_limit_constant(params_c2, 2) == pytest.approx(-M / (2 * (c + 1)))
-        assert branch_limit_constant(params_c2, 3) == pytest.approx(-M / (2 * (c - 1)))
+    def test_limit_constants(self, evaluator):
+        p, ev = evaluator
+        M, c = p.M, p.c
+        # nu(n) - i n at n = n_prod, within the O(1/n) remainder of its limit
+        n = ev.n_prod
+        tail = ev.lam[:, 0, -1] / ev.scales - 1j * n
+        assert tail[0] == pytest.approx(M / c, rel=1e-3)
+        assert tail[1] == pytest.approx(-M / (2 * (c + 1)), rel=1e-3)
+        assert tail[2] == pytest.approx(-M / (2 * (c - 1)), rel=1e-3)
 
-    def test_deviation_slope(self, params_c2):
-        for j in (1, 2, 3):
-            nu = NuSequence.from_params(params_c2, j, 2000)
-            pos = nu.modes > 0
-            nvals = nu.modes[pos].astype(float)
-            dev = np.abs(nu.values[pos] - 1j * nvals - branch_limit_constant(params_c2, j))
+    def test_deviation_slope(self, evaluator):
+        p, ev = evaluator
+        M, c = p.M, p.c
+        limits = (M / c, -M / (2 * (c + 1)), -M / (2 * (c - 1)))
+        nvals = np.arange(1, ev.n_prod + 1, dtype=float)
+        for j in range(3):
+            dev = np.abs(ev.lam[j, 0] / ev.scales[j] - 1j * nvals - limits[j])
             sel = nvals >= 50
             slope = np.polyfit(np.log(nvals[sel]), np.log(dev[sel]), 1)[0]
             assert slope <= -0.8
+
+
+@pytest.mark.parametrize("x", [101.0, 2001.0, 5001.0, 20001.0])
+def test_polygamma_series_matches_mpmath(x):
+    psi1, psi3 = _psi1_psi3(x)
+    with mpmath.workdps(40):
+        for value, order in ((psi1, 1), (psi3, 3)):
+            exact = mpmath.psi(order, x)
+            assert abs((mpmath.mpf(value) - exact) / exact) <= 5e-16
 
 
 class TestProductEvaluator:
@@ -163,9 +179,9 @@ class TestLogKernel:
              "imaginary_axis": 60j}[where]
         with mpmath.workdps(40):
             log_sum = 3 * mpmath.log(mpmath.mpc(z)) + mpmath.mpc(ev._tail_log(z))
-            for p in (1, 2, 3):
-                factors = (1.0 - z / ev.root_a[p]) * (1.0 - z / ev.root_b[p])
-                log_sum += mpmath.fsum(mpmath.log(mpmath.mpc(f)) for f in factors.tolist())
+            f = 1.0 - z / ev.roots
+            for factors in f[:, 0] * f[:, 1]:
+                log_sum += mpmath.fsum(mpmath.log(mpmath.mpc(x)) for x in factors.tolist())
             expected = complex(mpmath.exp(log_sum))
         value = ev.evaluate(z).value
         assert abs(value - expected) <= 5e-13 * abs(expected)
@@ -206,7 +222,8 @@ class TestDualFamily:
         fam = dual_family_gram(p, 8, regularization=0.0)
         assert verify_biorthogonality(fam) <= 1e-8
         ms = np.arange(1, 9)
-        peak = np.array([max(a.norm for a in fam.atoms if abs(a.m) == m) for m in ms])
+        abs_m = np.abs([m for m, _ in fam.index])
+        peak = np.array([fam.norms[abs_m == m].max() for m in ms])
         growth = np.polyfit(np.log(ms), np.log(peak), 1)[0]
         assert growth <= 2.3
 
@@ -216,18 +233,19 @@ class TestDualFamily:
         lam = family_exponents(params_c2, 4)
         assert len(lam) == 24
         fam = dual_family_gram(params_c2, 4)
-        atom = fam.atom(-2, 3)
-        assert (atom.m, atom.k) == (-2, 3)
+        assert fam.coefficients.shape == (24, 24) and fam.norms.shape == (24,)
+        # row (m, k) of the coefficients is dual to exponent (m, k): W G = I
+        i = fam.index.index((-2, 3))
+        assert np.abs(fam.coefficients[i] @ fam.gram - np.eye(24)[i]).max() <= 1e-8
 
     def test_norm_definition(self, params_c2):
         fam = dual_family_gram(params_c2, 3)
-        a = fam.atoms[5]
         nodes, weights = np.polynomial.legendre.leggauss(600)
         t = 0.5 * params_c2.T * nodes
         wt = 0.5 * params_c2.T * weights
-        samples = a.time_samples(t, fam.exponents)
+        samples = np.exp(-np.outer(t, fam.exponents)) @ fam.coefficients[5]
         quad_norm = math.sqrt(float(np.sum(wt * np.abs(samples) ** 2)))
-        assert a.norm == pytest.approx(quad_norm, rel=1e-9)
+        assert fam.norms[5] == pytest.approx(quad_norm, rel=1e-9)
 
     def test_exact_collision_raises_conditioning(self):
         v = resonance_velocity(1, 1.0)
@@ -265,7 +283,7 @@ class TestDualFamily:
         for _ in range(2):
             Ws = Ws + Ws @ (eye - As @ Ws)
         W = Ws * d[:, None] * d[None, :]
-        dev = np.abs(fam.coefficient_matrix - W).max() / np.abs(W).max()
+        dev = np.abs(fam.coefficients - W).max() / np.abs(W).max()
         assert dev <= 1e-12
         assert fam.norm_spread == pytest.approx(d.max() / d.min(), rel=1e-15)
         assert fam.refinement_residual <= 1e-12

@@ -77,16 +77,22 @@ class TestCLI:
         (completed,) = [c for c in payload["checks"] if c["name"] == "completed"]
         assert completed["passed"] is False
         assert completed["value"] == "InvalidParameterError" and completed["note"]
+        if argv[0] == "beam":
+            # refused before any check: no vacuous pass, no one-point fit
+            assert not any(c["passed"] is True for c in payload["checks"])
+            assert "RankWarning" not in res.stderr
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        # every integral in src/ is a closed form or Gauss-Legendre, so no
-        # layer module pays for importing scipy.integrate
+        # every integral in src/ is a closed form or Gauss-Legendre, and the
+        # product tail's polygamma values come from their series, so no layer
+        # module pays for importing scipy.integrate or scipy.special
         code = ("import sys, memwave.model, memwave.spectrum, memwave.gaps, "
                 "memwave.biorthogonal, memwave.moment_control, memwave.simulator, "
-                "memwave.beam, memwave.cli; print('scipy.integrate' in sys.modules)")
+                "memwave.beam, memwave.cli; "
+                "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        assert res.stdout.strip() == "[]"
 
     def test_subcritical_control_warns(self, tmp_path):
         res = run_cli("control", "--T", "5", "--N", "4", "--out", str(tmp_path))

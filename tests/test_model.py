@@ -22,8 +22,6 @@ from memwave.model import (
     state_norm,
 )
 
-from conftest import random_field
-
 
 class TestSobolevNorm:
     def test_single_unit_mode(self):
@@ -91,25 +89,6 @@ class TestFourierField:
         assert f.real_valued
         g = FourierField.from_coeffs({1: 1 + 2j, -1: 1 + 2j}, 2)
         assert not g.real_valued
-
-    def test_grid_round_trip(self, rng):
-        f = random_field(rng, 9)
-        for K in (2 * 9 + 2, 64, 101):
-            samples = f.evaluate(2 * np.pi * np.arange(K) / K)
-            g = FourierField.project_grid(samples, 9)
-            scale = np.abs(f.values).max()
-            assert np.abs(g.values - f.values).max() <= 1e-12 * scale
-
-    def test_sample_grid_matches_evaluate(self, rng):
-        f = random_field(rng, 5)
-        K = 32
-        x = 2 * np.pi * np.arange(K) / K
-        assert np.allclose(f.sample_grid(K), f.evaluate(x), atol=1e-12)
-
-    def test_pairs_round_trip(self):
-        f = FourierField.from_coeffs({2: 1 + 1j, -1: 3.0}, 3)
-        g = FourierField.from_pairs(f.to_pairs(), 3)
-        assert np.allclose(f.values, g.values)
 
     def test_mode_outside_truncation(self):
         with pytest.raises(DimensionError):

@@ -53,7 +53,8 @@ class TestMomentRhs:
     def test_zero_data(self):
         p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, 1.0),), N=3)
         md = moment_rhs(FourierField.zero(3), FourierField.zero(3), p, 3)
-        assert md.all_zero
+        assert len(md.rhs) == 6 * md.N
+        assert all(v == 0.0 for v in md.rhs.values())
 
     def test_velocity_only_data(self):
         p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, 1.0),), N=3)
@@ -62,10 +63,6 @@ class TestMomentRhs:
             assert md.rhs[(2, j)] == pytest.approx(-2 * np.pi)
         assert all(md.rhs[(n, j)] == 0.0
                    for n in (-3, -2, -1, 1, 3) for j in (1, 2, 3))
-
-    def test_zero_rows_enumerated(self, control_setup):
-        _, _, _, md = control_setup
-        assert len(md.zero_rows) == 6 * md.N
 
     def test_rejects_unrepresented_modes(self):
         p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, 1.0),), N=2)
@@ -328,7 +325,7 @@ class TestSeparatedSynthesis:
         p = ModelParams(M=1.0, c=2.0, T=12.0, omega0=((0.0, np.pi / 2),), N=2)
         rhs = {(n, j): (1.0 + 0.0j if (n, j) == (1, 1) else 0.0j)
                for n in (-2, -1, 1, 2) for j in (1, 2, 3)}
-        md = MomentData(N=2, rhs=rhs, zero_rows=(), data_norms=(0.0, 0.0))
+        md = MomentData(N=2, rhs=rhs, data_norms=(0.0, 0.0))
         b = FourierField.from_coeffs({n: 1.0 for n in (-2, -1, 1, 2)}, 2)
         _, field = synthesize_separated(p, md, b)
         mx, _, _ = verify_moment_constraints(field, md, p)

@@ -37,3 +37,15 @@ def test_moved_value_is_named_by_check(tmp_path, capsys):
     assert report_diff.compare_dirs(tmp_path / "a", tmp_path / "b", 1.0) == []
     assert report_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "1 value(s) differ" in capsys.readouterr().out
+
+
+def test_csv_sidecar_compared_cell_by_cell(tmp_path, capsys):
+    for name, norm in (("a", "2.5"), ("b", "2.5000001")):
+        write_report(tmp_path / name, 1.6e-6, "t")
+        (tmp_path / name / "atoms.csv").write_text(
+            f"m,k,norm\n-1,1,1.25\n1,1,{norm}\n")
+    rows = report_diff.compare_dirs(tmp_path / "a", tmp_path / "b", 0.0)
+    assert rows == [("atoms.csv", "row[1].norm", 2.5, 2.5000001)]
+    assert report_diff.compare_dirs(tmp_path / "a", tmp_path / "b", 1e-6) == []
+    assert report_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "atoms.csv  row[1].norm  2.5 -> 2.5000001" in capsys.readouterr().out

@@ -328,7 +328,7 @@ class TestResonance:
         assert arrays[2][at] == split
         assert family_exponents(p, N)[2 * N + at] == split
         ev = ProductEvaluator(p, 100, apply_resonance_convention=True)
-        assert ev.resonance_adjusted and ev.lam_b[3][n_c - 1] == split
+        assert ev.resonance_adjusted and ev.lam[2, 1, n_c - 1] == split
         lam = shifted_eigenvalue(-n_c, 2, p, apply_resonance_convention=True)
         assert lam.resonance_adjusted and lam.lam == split
         adjusted = [row for row in spectrum_table(p, N, True) if row[4]]
